@@ -134,8 +134,10 @@ type (
 	BatchStats = batch.Stats
 	// SolveCache memoizes solver results across SolveBatch calls.
 	SolveCache = batch.Cache
-	// SolveCacheStats is a snapshot of a SolveCache's counters: entries,
-	// configured cap, hits, misses and evictions.
+	// SolveCacheStats is a snapshot of a SolveCache's counters: the
+	// configured cap, the result tier's entries, hits, misses and
+	// evictions, and the same four counters for the plan tier
+	// (PlanEntries, PlanHits, PlanMisses, PlanEvictions).
 	SolveCacheStats = batch.CacheStats
 )
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mapping"
+	"repro/internal/memo"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -145,13 +146,18 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestShardSpread checks every cache shard is reachable from hex keys.
+// TestShardSpread checks every result-tier shard is reachable from two key
+// families: two-byte hex strings, and the canonical keys of 3000 energy
+// queries on the Section 2 instance whose period bounds {p, p} differ only
+// in p = 2 + 0.01*i. The second family varies in high-order mantissa bits
+// alone, which an unmixed FNV-1a mod 32 folds onto 8 shards; the busiest
+// shard must stay within twice the mean load.
 func TestShardSpread(t *testing.T) {
 	const hex = "0123456789abcdef"
 	seen := make(map[int]bool)
 	for _, a := range []byte(hex) {
 		for _, b := range []byte(hex) {
-			sh := shardIndex(string([]byte{a, b}), numShards)
+			sh := memo.ShardIndex(string([]byte{a, b}), numShards)
 			if sh < 0 || sh >= numShards {
 				t.Fatalf("shardIndex(%c%c) = %d out of range", a, b, sh)
 			}
@@ -159,7 +165,30 @@ func TestShardSpread(t *testing.T) {
 		}
 	}
 	if len(seen) != numShards {
-		t.Errorf("only %d of %d shards reachable", len(seen), numShards)
+		t.Errorf("hex keys: only %d of %d shards reachable", len(seen), numShards)
+	}
+
+	inst := pipeline.MotivatingExample()
+	const queries = 3000
+	var load [numShards]int
+	for i := 0; i < queries; i++ {
+		p := 2 + 0.01*float64(i)
+		key := Key(&inst, core.Request{Rule: mapping.Interval, Model: pipeline.Overlap,
+			Objective: core.Energy, PeriodBounds: []float64{p, p}})
+		load[memo.ShardIndex(key, numShards)]++
+	}
+	reached, busiest := 0, 0
+	for _, n := range load {
+		if n > 0 {
+			reached++
+		}
+		busiest = max(busiest, n)
+	}
+	if reached != numShards {
+		t.Errorf("period-bound keys: only %d of %d shards reachable", reached, numShards)
+	}
+	if mean := queries / numShards; busiest > 2*mean {
+		t.Errorf("period-bound keys: busiest shard holds %d keys, more than twice the mean %d", busiest, mean)
 	}
 }
 

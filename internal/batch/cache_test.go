@@ -8,10 +8,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mapping"
+	"repro/internal/memo"
 	"repro/internal/pipeline"
 )
 
@@ -63,7 +63,7 @@ func shardKeys(shard, n int) func(int) string {
 	return func(k int) string {
 		for i := 0; ; i++ {
 			key := fmt.Sprintf("key-%d-%d", k, i)
-			if shardIndex(key, n) == shard {
+			if memo.ShardIndex(key, n) == shard {
 				return key
 			}
 		}
@@ -71,9 +71,7 @@ func shardKeys(shard, n int) func(int) string {
 }
 
 // TestCacheLRUOrder checks that touching an entry protects it from
-// eviction ahead of colder entries in the same shard. Shard 0 is an LRU
-// leader under the default adaptive policy, so its eviction order is pure
-// LRU regardless of the duel's state.
+// eviction ahead of colder entries in the same shard.
 func TestCacheLRUOrder(t *testing.T) {
 	shardKey := shardKeys(0, numShards)
 	c := NewCacheCap(numShards * 2) // quota of 2 entries per shard
@@ -96,8 +94,8 @@ func TestCacheLRUOrder(t *testing.T) {
 // regression: NewCacheCap(n) with n below the shard count used to hand
 // most shards a zero quota, so entries landing there were evicted at
 // publish — memoization and late-arrival single-flight silently vanished
-// for most keys. The fix shrinks the effective shard count to the cap, so
-// every live shard retains at least one entry.
+// for most keys. The fix collapses a cache whose cap is below the shard
+// count to a single shard, so it holds any cap distinct keys.
 func TestCacheSmallCapKeepsEveryShardUseful(t *testing.T) {
 	const cap = 5
 	c := NewCacheCap(cap)
@@ -172,97 +170,6 @@ func TestCacheCapOne(t *testing.T) {
 	}
 	if _, _, hit := c.do(hexKey(2), func() (core.Result, error) { return core.Result{}, nil }); !hit {
 		t.Error("newest entry evicted in favour of the displaced one")
-	}
-}
-
-// TestCacheCostEviction pins cost-aware replacement: under PolicyCost the
-// victim is the cheapest-to-recompute entry, not the least recently used
-// one.
-func TestCacheCostEviction(t *testing.T) {
-	c := NewCacheCapPolicy(numShards*2, PolicyCost) // quota of 2 per shard
-	shardKey := shardKeys(0, numShards)
-	expensive := func() (core.Result, error) {
-		time.Sleep(20 * time.Millisecond)
-		return solvedResult(1), nil
-	}
-	cheap := func() (core.Result, error) { return solvedResult(2), nil }
-
-	c.do(shardKey(1), expensive)
-	c.do(shardKey(2), cheap)
-	// Touch the cheap entry so it is MRU: LRU would evict key 1, cost-aware
-	// must evict key 2 anyway.
-	c.do(shardKey(2), cheap)
-	c.do(shardKey(3), cheap) // forces an eviction in shard 0
-	if _, _, hit := c.do(shardKey(1), func() (core.Result, error) {
-		t.Error("expensive entry recomputed")
-		return core.Result{}, nil
-	}); !hit {
-		t.Error("cost-aware eviction dropped the expensive entry")
-	}
-	if _, _, hit := c.do(shardKey(2), cheap); hit {
-		t.Error("cheap MRU entry survived cost-aware eviction")
-	}
-}
-
-// TestCacheSetDueling pins the adaptive policy's steering: misses
-// concentrated in one leader group must swing the selector so followers
-// adopt the other group's policy.
-func TestCacheSetDueling(t *testing.T) {
-	c := NewCacheCap(numShards * 2)
-	if got := c.Stats().FollowerPolicy; got != "lru" {
-		t.Fatalf("initial FollowerPolicy = %q, want lru (selector at midpoint)", got)
-	}
-	// Shard 0 is an LRU leader, shard numShards-1 a cost leader (one leader
-	// per eight shards on each side, assigned from the ends).
-	lruLeaderKey := shardKeys(0, numShards)
-	costLeaderKey := shardKeys(numShards-1, numShards)
-
-	// Hammer the LRU leader with distinct keys: every miss votes against
-	// LRU, driving the selector past the midpoint.
-	for n := 0; n <= pselThreshold+1; n++ {
-		c.do(lruLeaderKey(1000+n), func() (core.Result, error) { return solvedResult(1), nil })
-	}
-	s := c.Stats()
-	if s.FollowerPolicy != "cost" {
-		t.Fatalf("FollowerPolicy = %q (selector %d) after %d LRU-leader misses, want cost",
-			s.FollowerPolicy, s.PolicySelector, pselThreshold+2)
-	}
-	if s.LeaderLRUMisses == 0 || s.LeaderCostMisses != 0 {
-		t.Errorf("leader traffic split wrong: lru misses %d, cost misses %d",
-			s.LeaderLRUMisses, s.LeaderCostMisses)
-	}
-
-	// Now hammer the cost leader: the duel must swing back.
-	for n := 0; n <= pselMax; n++ {
-		c.do(costLeaderKey(2000+n), func() (core.Result, error) { return solvedResult(1), nil })
-	}
-	if got := c.Stats().FollowerPolicy; got != "lru" {
-		t.Fatalf("FollowerPolicy = %q after cost-leader miss storm, want lru", got)
-	}
-
-	// Pinned policies ignore the duel entirely.
-	for _, p := range []Policy{PolicyLRU, PolicyCost} {
-		cp := NewCacheCapPolicy(8, p)
-		if got := cp.Stats().FollowerPolicy; got != p.String() {
-			t.Errorf("pinned %v: FollowerPolicy = %q", p, got)
-		}
-	}
-}
-
-// TestParsePolicyRoundTrip pins the Policy wire names shared by the cmd/
-// tools.
-func TestParsePolicyRoundTrip(t *testing.T) {
-	for _, p := range []Policy{PolicyAdaptive, PolicyLRU, PolicyCost} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if p, err := ParsePolicy(""); err != nil || p != PolicyAdaptive {
-		t.Errorf("ParsePolicy(\"\") = %v, %v, want adaptive default", p, err)
-	}
-	if _, err := ParsePolicy("mru"); err == nil {
-		t.Error("ParsePolicy accepted garbage")
 	}
 }
 

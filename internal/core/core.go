@@ -361,7 +361,7 @@ func solveEnergy(inst *pipeline.Instance, req Request, cls pipeline.Class) (Resu
 func trivialOneToOne(inst *pipeline.Instance, req Request) (Result, error) {
 	m, _, err := onetoone.MinLatencyFullyHom(inst)
 	if err != nil {
-		return Result{}, err
+		return Result{}, classify(err)
 	}
 	mt := mapping.Evaluate(inst, &m, req.Model)
 	for a := range inst.Apps {
@@ -512,20 +512,7 @@ func heuristicSolve(inst *pipeline.Instance, req Request) (Result, error) {
 
 func wrap(inst *pipeline.Instance, req Request, m mapping.Mapping, v float64, method Method, optimal bool, err error) (Result, error) {
 	if err != nil {
-		if errors.Is(err, interval.ErrInfeasible) || errors.Is(err, matching.ErrInfeasible) {
-			return Result{}, ErrInfeasible
-		}
-		if errors.Is(err, onetoone.ErrWrongPlatform) || errors.Is(err, matching.ErrWrongPlatform) || errors.Is(err, interval.ErrWrongPlatform) {
-			// The dispatcher guarantees each theorem algorithm's platform
-			// class precondition, so a surviving precondition failure means
-			// the platform shape admits no mapping at all under the rule
-			// (one-to-one with fewer processors than stages, interval with
-			// fewer processors than applications). That is infeasibility,
-			// and classifying it as such lets callers like the Pareto
-			// sweeps distinguish "nothing achievable" from a broken query.
-			return Result{}, fmt.Errorf("%w: %v", ErrInfeasible, err)
-		}
-		return Result{}, err
+		return Result{}, classify(err)
 	}
 	return Result{
 		Mapping: m,
@@ -534,6 +521,24 @@ func wrap(inst *pipeline.Instance, req Request, m mapping.Mapping, v float64, me
 		Method:  method,
 		Optimal: optimal,
 	}, nil
+}
+
+// classify maps a theorem algorithm's error onto the solver's sentinels.
+func classify(err error) error {
+	if errors.Is(err, interval.ErrInfeasible) || errors.Is(err, matching.ErrInfeasible) {
+		return ErrInfeasible
+	}
+	if errors.Is(err, onetoone.ErrWrongPlatform) || errors.Is(err, matching.ErrWrongPlatform) || errors.Is(err, interval.ErrWrongPlatform) {
+		// The dispatcher guarantees each theorem algorithm's platform
+		// class precondition, so a surviving precondition failure means
+		// the platform shape admits no mapping at all under the rule
+		// (one-to-one with fewer processors than stages, interval with
+		// fewer processors than applications). That is infeasibility,
+		// and classifying it as such lets callers like the Pareto
+		// sweeps distinguish "nothing achievable" from a broken query.
+		return fmt.Errorf("%w: %v", ErrInfeasible, err)
+	}
+	return err
 }
 
 func infBounds(n int) []float64 {

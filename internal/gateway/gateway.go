@@ -627,18 +627,15 @@ type upstreamStats struct {
 	Shed     int64            `json:"shed"`
 	Requests map[string]int64 `json:"requests"`
 	Cache    struct {
-		Entries        int     `json:"entries"`
-		Cap            int     `json:"cap"`
-		Hits           int64   `json:"hits"`
-		Misses         int64   `json:"misses"`
-		Evictions      int64   `json:"evictions"`
-		HitRate        float64 `json:"hitRate"`
-		Policy         string  `json:"policy"`
-		FollowerPolicy string  `json:"followerPolicy"`
-		PolicySelector int     `json:"policySelector"`
-		PlanEntries    int     `json:"planEntries"`
-		PlanHits       int64   `json:"planHits"`
-		PlanMisses     int64   `json:"planMisses"`
+		Entries     int     `json:"entries"`
+		Cap         int     `json:"cap"`
+		Hits        int64   `json:"hits"`
+		Misses      int64   `json:"misses"`
+		Evictions   int64   `json:"evictions"`
+		HitRate     float64 `json:"hitRate"`
+		PlanEntries int     `json:"planEntries"`
+		PlanHits    int64   `json:"planHits"`
+		PlanMisses  int64   `json:"planMisses"`
 	} `json:"cache"`
 }
 

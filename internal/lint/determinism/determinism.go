@@ -34,8 +34,8 @@ var Analyzer = &analysis.Analyzer{
 
 // deterministicPkgs are the packages whose outputs must be reproducible
 // from explicit inputs alone: the solver core and algorithms, the
-// instance model and evaluators, the compiled-plan layer, the scenario
-// generator, the fault-injection layer (seeded fault schedules must
+// instance model and evaluators, the compiled-plan layer and the memo
+// its answers flow through, the scenario generator, the fault-injection layer (seeded fault schedules must
 // replay identically), the replication machinery, the simulator and the
 // verification harness. The service (server, batch) and reporting layers
 // measure wall-clock time by design and are out of scope.
@@ -48,6 +48,7 @@ var deterministicPkgs = []string{
 	"repro/internal/gen",
 	"repro/internal/general",
 	"repro/internal/mapping",
+	"repro/internal/memo",
 	"repro/internal/npc",
 	"repro/internal/pareto",
 	"repro/internal/pipeline",

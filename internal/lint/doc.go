@@ -10,11 +10,13 @@
 // The analyzers:
 //
 //   - memoalias (internal/lint/memoalias) guards the memo layers
-//     (internal/batch, internal/plan): an aliasable value (slice, map or
-//     pointer-bearing) read out of a single-flight cache entry must pass
-//     through a clone function before it escapes, or every later hit on
-//     that key observes the caller's mutations. This is the bug fixed in
-//     PR 2 (batch cache) and designed against in PR 4 (plan memo).
+//     (internal/memo and its users internal/batch, internal/plan): an
+//     aliasable value (slice, map or pointer-bearing, or of a type
+//     parameter that may be instantiated with one) read out of a
+//     single-flight cache entry must pass through a clone function before
+//     it escapes, or every later hit on that key observes the caller's
+//     mutations: the bug class first fixed in the batch cache and then
+//     designed against in the plan memo.
 //
 //   - ctxflow guards cancellation plumbing everywhere: a context.Context
 //     parameter that the function body never touches cannot cancel
@@ -34,7 +36,7 @@
 //     accumulation) and comparisons against constants are exempt.
 //
 //   - determinism guards (seed,index) reproducibility in the solver,
-//     plan, generator, replication and simulator packages: map iteration
+//     plan, memo, generator, replication and simulator packages: map iteration
 //     feeding result ordering, time.Now, and the process-global math/rand
 //     source all make identical inputs produce different outputs.
 //
@@ -54,8 +56,8 @@
 //
 // The justification is mandatory — a bare directive is itself reported —
 // so every suppression documents why the invariant does not apply (for
-// example internal/batch shares *plan.Plan pointers out of its plan tier
-// because plans are immutable by construction).
+// example internal/memo hands out values raw when a cache has no clone
+// function, as the batch plan tier's immutable *plan.Plan values).
 //
 // # Architecture
 //

@@ -3,11 +3,13 @@
 // could mutate results memoized by the batch cache; the plan layer then
 // re-introduced the same hazard and clones on both hit paths).
 //
-// The invariant: in the memo layers (internal/batch, internal/plan), a
-// single-flight entry — any struct with a `ready chan struct{}` field — is
-// shared by every waiter on its key. Reading an aliasable field (one whose
-// type reaches a slice, map or pointer) out of such an entry and letting it
-// escape raw hands every caller a handle into the memo: one append or
+// The invariant: in the memo layers (internal/memo, which implements the
+// single-flight entries, and its users internal/batch and internal/plan),
+// a single-flight entry — any struct with a `ready chan struct{}` field —
+// is shared by every waiter on its key. Reading an aliasable field (one
+// whose type reaches a slice, map or pointer, or is a type parameter that
+// may be instantiated with one) out of such an entry and letting it escape
+// raw hands every caller a handle into the memo: one append or
 // element write corrupts the cached value for all later hits. Every such
 // read must pass through a clone function (any callee whose name contains
 // "clone"); deliberate sharing of immutable state is suppressed with
@@ -35,7 +37,7 @@ func inScope(path string) bool {
 	if !strings.HasPrefix(path, "repro") {
 		return true
 	}
-	return path == "repro/internal/batch" || path == "repro/internal/plan"
+	return path == "repro/internal/memo" || path == "repro/internal/batch" || path == "repro/internal/plan"
 }
 
 func run(pass *analysis.Pass) error {
@@ -107,9 +109,11 @@ func isEntryStruct(t types.Type) bool {
 }
 
 // aliasable reports whether a value of type t shares mutable state with
-// its source: it is, or structurally contains, a slice, map or pointer.
-// Interfaces and channels are excluded — error values are memoized by
-// design, and the ready channel is the entry's publication mechanism.
+// its source: it is, or structurally contains, a slice, map or pointer, or
+// it is a type parameter (a generic entry's value may be instantiated with
+// any of those). Interfaces and channels are excluded — error values are
+// memoized by design, and the ready channel is the entry's publication
+// mechanism.
 func aliasable(t types.Type) bool {
 	return aliasableSeen(t, map[types.Type]bool{})
 }
@@ -119,6 +123,9 @@ func aliasableSeen(t types.Type, seen map[types.Type]bool) bool {
 		return false
 	}
 	seen[t] = true
+	if _, ok := t.(*types.TypeParam); ok {
+		return true
+	}
 	switch u := t.Underlying().(type) {
 	case *types.Slice, *types.Map, *types.Pointer:
 		return true

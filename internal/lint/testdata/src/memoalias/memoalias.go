@@ -75,3 +75,31 @@ type plain struct {
 func notAnEntry(p *plain) result {
 	return p.res
 }
+
+// genericEntry is a single-flight entry whose value type is a type
+// parameter: it may be instantiated with a slice or pointer, so its value
+// must pass through a clone like any other aliasable field.
+type genericEntry[V any] struct {
+	key   string
+	ready chan struct{}
+	val   V
+	err   error
+}
+
+type genericCache[V any] struct {
+	clone func(V) V
+}
+
+func (c *genericCache[V]) badGeneric(e *genericEntry[V]) (V, error) {
+	<-e.ready
+	return e.val, e.err // want "memoized e.val escapes"
+}
+
+func (c *genericCache[V]) goodGeneric(e *genericEntry[V]) (V, error) {
+	<-e.ready
+	return c.clone(e.val), e.err
+}
+
+func (c *genericCache[V]) genericWrite(e *genericEntry[V], v V) {
+	e.val = v
+}

@@ -13,10 +13,11 @@
 //
 //   - validation and platform classification run once at compile time, not
 //     per query (core.SolvePrepared skips both);
-//   - repeated queries are answered from a single-flight LRU memo keyed by
-//     a canonical query encoding, so the steady-state repeat-query path is
-//     a map lookup plus a defensive copy — near-zero allocations and
-//     orders of magnitude faster than a fresh solve;
+//   - repeated queries are answered from a single-flight LRU memo
+//     (internal/memo) keyed by a canonical query encoding, so the
+//     steady-state repeat-query path is a map lookup plus a defensive copy
+//     — near-zero allocations and orders of magnitude faster than a fresh
+//     solve;
 //   - query keys are encoded into pooled scratch buffers (sync.Pool), so
 //     the hot path does not regrow an arena per call.
 //
@@ -29,19 +30,18 @@
 package plan
 
 import (
-	"container/list"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fmath"
 	"repro/internal/mapping"
+	"repro/internal/memo"
 	"repro/internal/pipeline"
 )
 
@@ -85,16 +85,6 @@ func QueryOf(req core.Request) Query {
 	}
 }
 
-// entry is one memoized query: a single-flight slot whose ready channel is
-// closed once res/err are final, so concurrent duplicates block instead of
-// recomputing and never observe a partial write.
-type entry struct {
-	key   string
-	ready chan struct{}
-	res   core.Result
-	err   error
-}
-
 // Plan is an immutable compiled solver state answering many queries for one
 // (instance, rule, communication model) triple. Create with Compile; the
 // zero value is not usable.
@@ -113,11 +103,8 @@ type Plan struct {
 	candsOnce sync.Once
 	cands     []float64
 
-	mu   sync.Mutex
-	memo map[string]*list.Element
-	lru  list.List // front = most recently used; values are *entry
-
-	queries, hits, evictions, degraded atomic.Int64
+	memo     *memo.Cache[core.Result]
+	degraded atomic.Int64
 }
 
 // degradedHeurIters is the reduced annealing budget of a degraded solve
@@ -143,7 +130,7 @@ func Compile(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommMode
 		inst:  inst.Clone(),
 		rule:  rule,
 		model: model,
-		memo:  make(map[string]*list.Element),
+		memo:  memo.New(memoCap, 1, CloneResult),
 	}
 	p.cls = p.inst.Platform.Classify()
 	p.prefixes = make([][]float64, len(p.inst.Apps))
@@ -216,12 +203,10 @@ func (p *Plan) Request(q Query) core.Request {
 // mapping are bit-identical to core.Solve(instance, plan.Request(q)).
 func (p *Plan) Solve(q Query) (core.Result, error) {
 	e, hit := p.lookup(q)
-	if hit {
-		<-e.ready
-	} else {
-		p.run(e, q)
+	if !hit {
+		p.memo.Publish(e, p.solver(q))
 	}
-	return cloneStored(e.res, e.err), e.err
+	return p.memo.Wait(e)
 }
 
 // SolveCtx is Solve under a wall-clock budget: when ctx carries no deadline
@@ -247,11 +232,11 @@ func (p *Plan) SolveCtx(ctx context.Context, q Query) (core.Result, error) {
 		// The solver reads the query's bound slices for the whole solve;
 		// clone them so the caller regaining control at deadline expiry
 		// cannot corrupt the memoized result by reusing its buffers.
-		go p.run(e, cloneQuery(q))
+		go p.memo.Publish(e, p.solver(cloneQuery(q)))
 	}
 	select {
-	case <-e.ready:
-		return cloneStored(e.res, e.err), e.err
+	case <-e.Ready():
+		return p.memo.Wait(e)
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			return p.degradedSolve(q)
@@ -261,47 +246,25 @@ func (p *Plan) SolveCtx(ctx context.Context, q Query) (core.Result, error) {
 }
 
 // lookup finds or installs the single-flight memo entry for q. hit reports
-// whether the entry was already present (the caller must then wait on
-// e.ready); on a miss the caller owns running the solve via run.
-func (p *Plan) lookup(q Query) (e *entry, hit bool) {
-	p.queries.Add(1)
+// whether the entry was already present (the caller then waits for it); on
+// a miss the caller owns publishing the solve. The key is encoded into a
+// pooled buffer, so a hit allocates nothing.
+func (p *Plan) lookup(q Query) (e *memo.Entry[core.Result], hit bool) {
 	kp := keyPool.Get().(*[]byte)
 	buf := appendQueryKey((*kp)[:0], q)
-
-	p.mu.Lock()
-	if el, ok := p.memo[string(buf)]; ok {
-		e = el.Value.(*entry)
-		p.lru.MoveToFront(el)
-		p.hits.Add(1)
-		p.mu.Unlock()
-		*kp = buf
-		keyPool.Put(kp)
-		return e, true
+	if e, hit = p.memo.Get(buf); !hit {
+		e, hit = p.memo.Install(string(buf))
 	}
-	e = &entry{key: string(buf), ready: make(chan struct{})}
-	p.memo[e.key] = p.lru.PushFront(e)
-	for len(p.memo) > memoCap {
-		back := p.lru.Back()
-		p.lru.Remove(back)
-		delete(p.memo, back.Value.(*entry).key)
-		p.evictions.Add(1)
-	}
-	p.mu.Unlock()
 	*kp = buf
 	keyPool.Put(kp)
-	return e, false
+	return e, hit
 }
 
-// run executes the solve for a freshly installed entry and publishes the
-// result, converting a panic into an error confined to this key.
-func (p *Plan) run(e *entry, q Query) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.err = fmt.Errorf("plan: query panicked: %v\n%s", r, debug.Stack())
-		}
-		close(e.ready)
-	}()
-	e.res, e.err = core.SolvePrepared(&p.inst, p.cls, p.Request(q))
+// solver returns the computation behind q's memo entry.
+func (p *Plan) solver(q Query) func() (core.Result, error) {
+	return func() (core.Result, error) {
+		return core.SolvePrepared(&p.inst, p.cls, p.Request(q))
+	}
 }
 
 // degradedSolve is the reduced-effort fallback taken when a wall-clock
@@ -343,17 +306,15 @@ func cloneQuery(q Query) Query {
 	return q
 }
 
-// cloneStored hands out an independent copy of a memoized success; failures
-// keep the zero Result untouched (cloning would turn nil slices into empty
-// ones, breaking bit-identity with a direct core.Solve call). It is the
-// steady-state cost of a memo hit, so the copy is packed into three backing
-// allocations (apps, intervals, metric floats) instead of one per slice —
-// nil-ness of every slice is preserved, and full-capacity reslicing keeps
-// the handed-out slices append-safe for callers.
-func cloneStored(res core.Result, err error) core.Result {
-	if err != nil {
-		return res
-	}
+// CloneResult returns an independent deep copy of a successful Result; it
+// is the clone function of every result memo (this package's query memo
+// and the batch engine's result tier). It is the steady-state cost of a
+// memo hit, so the copy is packed into three backing allocations (apps,
+// intervals, metric floats) instead of one per slice — nil-ness of every
+// slice is preserved, and full-capacity reslicing keeps the handed-out
+// slices append-safe for callers. The memos run it on successful reads
+// only; a failure hands out its stored Result as computed.
+func CloneResult(res core.Result) core.Result {
 	c := res
 	if res.Mapping.Apps != nil {
 		apps := make([]mapping.AppMapping, len(res.Mapping.Apps))
@@ -414,14 +375,12 @@ func (s Stats) HitRate() float64 {
 
 // QueryStats returns a snapshot of the plan's counters.
 func (p *Plan) QueryStats() Stats {
-	p.mu.Lock()
-	n := len(p.memo)
-	p.mu.Unlock()
+	m := p.memo.Stats()
 	return Stats{
-		Queries:   p.queries.Load(),
-		Hits:      p.hits.Load(),
-		Entries:   n,
-		Evictions: p.evictions.Load(),
+		Queries:   m.Hits + m.Misses,
+		Hits:      m.Hits,
+		Entries:   m.Entries,
+		Evictions: m.Evictions,
 		Degraded:  p.degraded.Load(),
 	}
 }

@@ -1,10 +1,16 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/gen"
+	"repro/internal/jobspec"
+	"repro/internal/pipeline"
 )
 
 type errorBody struct {
@@ -479,5 +485,47 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never held")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestProcStarvedOneToOneCode posts corpus scenario 2124 at seed 1 (a
+// fully homogeneous one-to-one request with fewer processors than stages)
+// through /v1/solve and /v1/batch: no mapping exists, so the answer is
+// classed infeasible (422 on the single solve, code "infeasible" in the
+// batch slot), never internal.
+func TestProcStarvedOneToOneCode(t *testing.T) {
+	sc := gen.DefaultSpace().Sample(1, 2124)
+	var buf bytes.Buffer
+	if err := pipeline.EncodeJSON(&buf, &sc.Inst); err != nil {
+		t.Fatal(err)
+	}
+	req, err := json.Marshal(jobspec.RequestOf(sc.Req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{})
+
+	rec := post(s, "/v1/solve", `{"instance": `+buf.String()+`, "request": `+string(req)+`}`)
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("/v1/solve: status %d, want 422: %s", rec.Code, rec.Body.String())
+	}
+	var e errorBody
+	decode(t, rec, &e)
+	if e.Code != jobspec.CodeInfeasible {
+		t.Fatalf("/v1/solve: code %q, want %q (error %q)", e.Code, jobspec.CodeInfeasible, e.Error)
+	}
+
+	rec = post(s, "/v1/batch", `{"instance": `+buf.String()+`, "jobs": [{"request": `+string(req)+`}]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/v1/batch: status %d, want 200: %s", rec.Code, rec.Body.String())
+	}
+	var out struct {
+		Results []struct {
+			Code string `json:"code"`
+		} `json:"results"`
+	}
+	decode(t, rec, &out)
+	if len(out.Results) != 1 || out.Results[0].Code != jobspec.CodeInfeasible {
+		t.Fatalf("/v1/batch: results %+v, want one slot with code %q", out.Results, jobspec.CodeInfeasible)
 	}
 }
