@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
 	"testing"
 
 	"repro/internal/algo/exact"
@@ -23,6 +22,7 @@ import (
 	"repro/internal/algo/matching"
 	"repro/internal/algo/onetoone"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/mapping"
 	"repro/internal/npc"
@@ -456,8 +456,10 @@ type corpusDoc struct {
 
 // BenchmarkCorpus is the solver performance baseline: it solves the seeded
 // verification corpus (the same instances internal/diffcheck checks for
-// correctness) grouped by (class, rule, model, criterion) variant — each
-// variant measured both as fresh one-shot solves and as repeat queries
+// correctness) grouped by (class, rule, model, criterion) variant, plus
+// one heuristic variant per NP-hard combination that solves its scenarios
+// with the annealer forced at a fixed budget (experiments.CorpusVariants) —
+// each variant measured both as fresh one-shot solves and as repeat queries
 // against pre-compiled plans (the compile-once/query-many path) — plus a
 // shared-cache SolveBatch pass, and writes the per-variant ns/op, allocs,
 // plan-reuse speedup and cache hit rate to BENCH_solver.json so future
@@ -467,26 +469,18 @@ type corpusDoc struct {
 func BenchmarkCorpus(b *testing.B) {
 	space := gen.DefaultSpace()
 	scenarios := space.Corpus(corpusSeed, 2*space.CombinationCount())
-
-	variants := make(map[string][]*gen.Scenario)
-	var order []string
-	for i := range scenarios {
-		sc := &scenarios[i]
-		name := sc.Combo()
-		if _, ok := variants[name]; !ok {
-			order = append(order, name)
-		}
-		variants[name] = append(variants[name], sc)
+	variants, err := experiments.CorpusVariants(corpusSeed)
+	if err != nil {
+		b.Fatal(err)
 	}
-	sort.Strings(order)
 
 	// Sub-benchmark closures run again for every b.N ramp-up, so records
 	// are keyed by name (last, largest-N invocation wins), never appended.
-	records := make(map[string]corpusVariantRecord, len(order))
-	planDone := make(map[string]bool, len(order))
+	records := make(map[string]corpusVariantRecord, len(variants))
+	planDone := make(map[string]bool, len(variants))
 	var cacheRec *corpusCacheRecord
-	for _, name := range order {
-		group := variants[name]
+	for _, v := range variants {
+		name, group := v.Name, v.Scenarios
 		b.Run(name, func(b *testing.B) {
 			// Warm the solver arenas outside the timer, then collect: at
 			// -benchtime=100x the hot variants finish in well under a
@@ -596,9 +590,9 @@ func BenchmarkCorpus(b *testing.B) {
 	// Only a complete run may rewrite the committed baseline: a filtered
 	// invocation (e.g. -bench=Corpus/cache) must not clobber it with a
 	// partial document.
-	if len(records) != len(order) || len(planDone) != len(order) || cacheRec == nil {
+	if len(records) != len(variants) || len(planDone) != len(variants) || cacheRec == nil {
 		b.Logf("partial corpus run (%d/%d variants, %d/%d plan passes, cache %v): BENCH_solver.json left untouched",
-			len(records), len(order), len(planDone), len(order), cacheRec != nil)
+			len(records), len(variants), len(planDone), len(variants), cacheRec != nil)
 		return
 	}
 	doc := corpusDoc{
@@ -608,8 +602,8 @@ func BenchmarkCorpus(b *testing.B) {
 		GoArch:     runtime.GOARCH,
 		Cache:      *cacheRec,
 	}
-	for _, name := range order {
-		doc.Variants = append(doc.Variants, records[name])
+	for _, v := range variants {
+		doc.Variants = append(doc.Variants, records[v.Name])
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

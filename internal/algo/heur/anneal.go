@@ -3,20 +3,34 @@ package heur
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
 )
 
 // anneal improves m in place by simulated annealing over the interval
-// mapping neighbourhood, returning the final objective value. Infeasible
-// neighbours (objective +Inf) are always rejected; the best mapping ever
-// seen is restored at the end.
-func anneal(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, obj Objective, opt Options) float64 {
-	cur := obj(m)
-	best := m.Clone()
-	bestV := cur
-	scale := math.Abs(cur)
+// mapping neighbourhood. Infeasible neighbours (objective +Inf) are always
+// rejected; the best mapping ever seen is restored at the end.
+//
+// The loop allocates nothing. It works on three mapping buffers (current,
+// candidate, best) whose application slices have room for one interval per
+// stage, so no move ever grows them. Each iteration copies current into
+// candidate and mutates the candidate; an accept swaps the two pointers,
+// and only a new best is copied. The free-processor scratch of the
+// relocate and split moves is reused the same way. Every RNG draw and
+// float operation is the one a fresh clone per candidate would make, so
+// results are bit-identical per (instance, seed).
+func anneal(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, obj Objective, opt Options) {
+	curV := obj(m)
+	bufs := mappingBuffers(inst, 3)
+	cur, cand, best := &bufs[0], &bufs[1], &bufs[2]
+	copyMapping(cur, m)
+	copyMapping(best, m)
+	p := inst.Platform.NumProcessors()
+	fs := &procScratch{used: make([]bool, p), free: make([]int, 0, p)}
+	bestV := curV
+	scale := math.Abs(curV)
 	if math.IsInf(scale, 1) || scale == 0 {
 		scale = 1
 	}
@@ -25,51 +39,93 @@ func anneal(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, obj Obj
 	cool := math.Pow(t1/t0, 1/math.Max(1, float64(opt.Iters-1)))
 	temp := t0
 	for i := 0; i < opt.Iters; i++ {
-		cand := m.Clone()
-		if !mutate(rng, inst, &cand, opt.Rule) {
+		copyMapping(cand, cur)
+		if !mutate(rng, inst, cand, opt.Rule, fs) {
 			temp *= cool
 			continue
 		}
-		v := obj(&cand)
+		v := obj(cand)
 		accept := false
 		switch {
 		case math.IsInf(v, 1):
 			accept = false
 		//lint:allow floatcmp annealing acceptance is heuristic; tolerance would only perturb accept probability
-		case v <= cur:
+		case v <= curV:
 			accept = true
-		case !math.IsInf(cur, 1):
-			accept = rng.Float64() < math.Exp((cur-v)/temp)
+		case !math.IsInf(curV, 1):
+			accept = rng.Float64() < math.Exp((curV-v)/temp)
 		default:
 			accept = true // escape from an infeasible start
 		}
 		if accept {
-			*m = cand
-			cur = v
+			cur, cand = cand, cur
+			curV = v
 			if v < bestV {
-				best = cand.Clone()
+				copyMapping(best, cur)
 				bestV = v
 			}
 		}
 		temp *= cool
 	}
-	if bestV < cur {
-		*m = best
+	if bestV < curV {
+		*m = *best
+	} else {
+		*m = *cur
 	}
-	return bestV
+}
+
+// mappingBuffers returns n mappings of inst's shape whose application
+// slices are empty with capacity for one interval per stage. All of them
+// share two backing arrays.
+func mappingBuffers(inst *pipeline.Instance, n int) []mapping.Mapping {
+	apps := len(inst.Apps)
+	stages := inst.TotalStages()
+	appsBuf := make([]mapping.AppMapping, n*apps)
+	ivs := make([]mapping.PlacedInterval, n*stages)
+	out := make([]mapping.Mapping, n)
+	off := 0
+	for i := range out {
+		out[i].Apps = appsBuf[i*apps : (i+1)*apps : (i+1)*apps]
+		for a := range out[i].Apps {
+			k := inst.Apps[a].NumStages()
+			out[i].Apps[a].Intervals = ivs[off : off : off+k]
+			off += k
+		}
+	}
+	return out
+}
+
+// copyMapping overwrites dst with src, reusing dst's slices. dst must have
+// as many applications as src and room for src's intervals (see
+// mappingBuffers); it then allocates nothing.
+func copyMapping(dst, src *mapping.Mapping) {
+	for a := range src.Apps {
+		dst.Apps[a].Intervals = append(dst.Apps[a].Intervals[:0], src.Apps[a].Intervals...)
+	}
 }
 
 // mutate applies one random neighbourhood move in place. It reports false
 // when the drawn move was inapplicable (the caller just retries next
 // iteration). All moves preserve mapping validity.
-func mutate(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, rule mapping.Rule) bool {
-	moves := []func(*rand.Rand, *pipeline.Instance, *mapping.Mapping) bool{
-		moveMode, moveRelocate, moveSwap,
-	}
+func mutate(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, rule mapping.Rule, fs *procScratch) bool {
+	n := 3
 	if rule == mapping.Interval {
-		moves = append(moves, moveBoundary, moveSplit, moveMerge)
+		n = 6
 	}
-	return moves[rng.Intn(len(moves))](rng, inst, m)
+	switch rng.Intn(n) {
+	case 0:
+		return moveMode(rng, inst, m)
+	case 1:
+		return moveRelocate(rng, inst, m, fs)
+	case 2:
+		return moveSwap(rng, inst, m)
+	case 3:
+		return moveBoundary(rng, inst, m)
+	case 4:
+		return moveSplit(rng, inst, m, fs)
+	default:
+		return moveMerge(rng, inst, m)
+	}
 }
 
 // pick returns a random (app, interval index) pair.
@@ -85,21 +141,28 @@ func pick(rng *rand.Rand, m *mapping.Mapping) (int, int) {
 	panic("unreachable")
 }
 
-// freeProcs lists processors not used by m.
-func freeProcs(inst *pipeline.Instance, m *mapping.Mapping) []int {
-	used := make([]bool, inst.Platform.NumProcessors())
+// procScratch is the reusable storage behind freeProcs.
+type procScratch struct {
+	used []bool
+	free []int
+}
+
+// freeProcs lists processors not used by m in ascending order. The list
+// lives in fs and is overwritten by the next call.
+func freeProcs(m *mapping.Mapping, fs *procScratch) []int {
+	clear(fs.used)
 	for a := range m.Apps {
 		for _, iv := range m.Apps[a].Intervals {
-			used[iv.Proc] = true
+			fs.used[iv.Proc] = true
 		}
 	}
-	var free []int
-	for u, b := range used {
+	fs.free = fs.free[:0]
+	for u, b := range fs.used {
 		if !b {
-			free = append(free, u)
+			fs.free = append(fs.free, u)
 		}
 	}
-	return free
+	return fs.free
 }
 
 // moveMode steps one interval's mode up or down.
@@ -126,8 +189,8 @@ func moveMode(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool 
 }
 
 // moveRelocate moves one interval to a free processor at a random mode.
-func moveRelocate(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool {
-	free := freeProcs(inst, m)
+func moveRelocate(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, fs *procScratch) bool {
+	free := freeProcs(m, fs)
 	if len(free) == 0 {
 		return false
 	}
@@ -194,9 +257,10 @@ func moveBoundary(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) b
 	return true
 }
 
-// moveSplit splits one interval of length >= 2 onto a free processor.
-func moveSplit(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool {
-	free := freeProcs(inst, m)
+// moveSplit splits one interval of length >= 2 onto a free processor,
+// inserting the right half in place.
+func moveSplit(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping, fs *procScratch) bool {
+	free := freeProcs(m, fs)
 	if len(free) == 0 {
 		return false
 	}
@@ -210,12 +274,12 @@ func moveSplit(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool
 	u := free[rng.Intn(len(free))]
 	right := mapping.PlacedInterval{From: cut + 1, To: iv.To, Proc: u, Mode: rng.Intn(inst.Platform.Processors[u].NumModes())}
 	ivs[j].To = cut
-	m.Apps[a].Intervals = append(ivs[:j+1], append([]mapping.PlacedInterval{right}, ivs[j+1:]...)...)
+	m.Apps[a].Intervals = slices.Insert(ivs, j+1, right)
 	return true
 }
 
 // moveMerge merges two adjacent intervals of one application onto one of
-// their two processors, freeing the other.
+// their two processors, freeing the other. It deletes in place.
 func moveMerge(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool {
 	a, j := pick(rng, m)
 	ivs := m.Apps[a].Intervals
@@ -231,7 +295,8 @@ func moveMerge(rng *rand.Rand, inst *pipeline.Instance, m *mapping.Mapping) bool
 	}
 	keep.From = ivs[j].From
 	keep.To = ivs[j+1].To
-	m.Apps[a].Intervals = append(ivs[:j], append([]mapping.PlacedInterval{keep}, ivs[j+2:]...)...)
+	ivs[j] = keep
+	m.Apps[a].Intervals = slices.Delete(ivs, j+1, j+2)
 	return true
 }
 

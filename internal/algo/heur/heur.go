@@ -102,11 +102,12 @@ func MinEnergyGivenPeriodLatency(rng *rand.Rand, inst *pipeline.Instance, rule m
 		}
 		return true
 	}
+	power := mapping.NewPowerTable(inst)
 	obj := func(m *mapping.Mapping) float64 {
 		if !feasible(m) {
 			return math.Inf(1)
 		}
-		return mapping.Energy(inst, m)
+		return power.Energy(m)
 	}
 	best, bestV, err := search(rng, inst, rule, obj, opt)
 	if err != nil {
@@ -123,7 +124,7 @@ func MinEnergyGivenPeriodLatency(rng *rand.Rand, inst *pipeline.Instance, rule m
 // search runs restarts of (greedy init + speed-down + annealing).
 func search(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, obj Objective, opt Options) (mapping.Mapping, float64, error) {
 	opt = opt.withDefaults()
-	var best mapping.Mapping
+	best := mappingBuffers(inst, 1)[0]
 	bestV := math.Inf(1)
 	haveBest := false
 	for r := 0; r < opt.Restarts; r++ {
@@ -132,11 +133,12 @@ func search(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, obj Obje
 			return mapping.Mapping{}, 0, err
 		}
 		speedUpIfHelpful(inst, &m, obj)
-		v := anneal(rng, inst, &m, obj, opt)
+		anneal(rng, inst, &m, obj, opt)
 		speedDown(inst, &m, obj)
-		v = obj(&m)
+		v := obj(&m)
 		if !haveBest || v < bestV {
-			best, bestV, haveBest = m.Clone(), v, true
+			copyMapping(&best, &m)
+			bestV, haveBest = v, true
 		}
 	}
 	if !haveBest {
@@ -208,6 +210,9 @@ func initial(rng *rand.Rand, inst *pipeline.Instance, rule mapping.Rule, round i
 		}
 		myProcs := procs[next : next+k]
 		next += k
+		// One allocation whatever k the randomized rounds draw, so a
+		// solve's allocation count does not depend on the RNG state.
+		m.Apps[a].Intervals = make([]mapping.PlacedInterval, 0, k)
 		// Equal-work split into k intervals.
 		pre := inst.Apps[a].WorkPrefix()
 		total := pre[n]
@@ -262,10 +267,8 @@ func proportionalCounts(inst *pipeline.Instance, p int, rng *rand.Rand, round in
 	nApps := len(inst.Apps)
 	counts := make([]int, nApps)
 	works := make([]float64, nApps)
-	var total float64
 	for a := range inst.Apps {
 		works[a] = inst.Apps[a].EffectiveWeight() * inst.Apps[a].TotalWork()
-		total += works[a]
 	}
 	left := p
 	for a := range counts {
@@ -293,6 +296,5 @@ func proportionalCounts(inst *pipeline.Instance, p int, rng *rand.Rand, round in
 		counts[best]++
 		left--
 	}
-	_ = total
 	return counts
 }

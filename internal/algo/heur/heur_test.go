@@ -265,3 +265,48 @@ func TestAnnealingImprovesOnGreedy(t *testing.T) {
 		t.Error("annealing never improved on the greedy construction across 15 instances")
 	}
 }
+
+// TestSearchAllocsIndependentOfIters pins the allocation-free annealing
+// loop: a search allocates the same number of times at 500 and at 4000
+// iterations per restart, for every objective. Allocation counts are
+// deterministic (the search uses no pools), so the gate never depends on
+// timing.
+func TestSearchAllocsIndependentOfIters(t *testing.T) {
+	inst := workload.MustInstance(rand.New(rand.NewSource(78)), workload.Config{
+		Apps: 3, MinStages: 3, MaxStages: 6, Procs: 18, Modes: 3,
+		Class: pipeline.FullyHeterogeneous, MaxWork: 12, MaxData: 6, MaxSpeed: 9, MaxBandwidth: 4,
+	})
+	loose := make([]float64, len(inst.Apps))
+	for a := range loose {
+		loose[a] = 1e6
+	}
+	searches := map[string]func(opt Options) error{
+		"period": func(opt Options) error {
+			_, _, err := MinPeriod(rand.New(rand.NewSource(1)), &inst, mapping.Interval, pipeline.Overlap, opt)
+			return err
+		},
+		"latency": func(opt Options) error {
+			_, _, err := MinLatency(rand.New(rand.NewSource(1)), &inst, mapping.OneToOne, opt)
+			return err
+		},
+		"bounded-energy": func(opt Options) error {
+			_, _, err := MinEnergyGivenPeriodLatency(rand.New(rand.NewSource(1)), &inst, mapping.Interval, pipeline.NoOverlap, loose, loose, opt)
+			return err
+		},
+	}
+	for name, search := range searches {
+		allocs := func(iters int) int {
+			var err error
+			n := testing.AllocsPerRun(3, func() { err = search(Options{Iters: iters, Restarts: 3}) })
+			if err != nil {
+				t.Fatalf("%s at %d iterations: %v", name, iters, err)
+			}
+			return int(n)
+		}
+		few, many := allocs(500), allocs(4000)
+		t.Logf("%s: %d allocations per search", name, few)
+		if few != many {
+			t.Errorf("%s: %d allocations at 500 iterations, %d at 4000: the annealing loop allocates", name, few, many)
+		}
+	}
+}

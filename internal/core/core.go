@@ -479,25 +479,47 @@ func withinExactLimit(inst *pipeline.Instance, req Request) bool {
 func heuristicSolve(inst *pipeline.Instance, req Request) (Result, error) {
 	rng := rand.New(rand.NewSource(req.Seed + 1))
 	opt := heur.Options{Iters: req.HeurIters, Restarts: req.HeurRestarts}
+	power := mapping.NewPowerTable(inst)
+	needPeriod := req.PeriodBounds != nil || req.Objective == Period
+	needLatency := req.LatencyBounds != nil || req.Objective == Latency
+	needEnergy := req.EnergyBudget > 0 || req.Objective == Energy
+	// One pass per application checks its bounds and folds its weighted
+	// period and latency into the global maxima in mapping.Period's and
+	// mapping.Latency's operation order, so each is computed once per
+	// application; energy sums the tabulated powers (mapping.PowerTable).
 	obj := func(m *mapping.Mapping) float64 {
+		var period, latency float64
 		for a := range m.Apps {
-			if req.PeriodBounds != nil && !fmath.LE(mapping.AppPeriod(inst, m, a, req.Model), req.PeriodBounds[a]) {
-				return math.Inf(1)
+			w := inst.Apps[a].EffectiveWeight()
+			if needPeriod {
+				ta := mapping.AppPeriod(inst, m, a, req.Model)
+				if req.PeriodBounds != nil && !fmath.LE(ta, req.PeriodBounds[a]) {
+					return math.Inf(1)
+				}
+				period = math.Max(period, w*ta)
 			}
-			if req.LatencyBounds != nil && !fmath.LE(mapping.AppLatency(inst, m, a), req.LatencyBounds[a]) {
-				return math.Inf(1)
+			if needLatency {
+				la := mapping.AppLatency(inst, m, a)
+				if req.LatencyBounds != nil && !fmath.LE(la, req.LatencyBounds[a]) {
+					return math.Inf(1)
+				}
+				latency = math.Max(latency, w*la)
 			}
 		}
-		if req.EnergyBudget > 0 && !fmath.LE(mapping.Energy(inst, m), req.EnergyBudget) {
-			return math.Inf(1)
+		var energy float64
+		if needEnergy {
+			energy = power.Energy(m)
+			if req.EnergyBudget > 0 && !fmath.LE(energy, req.EnergyBudget) {
+				return math.Inf(1)
+			}
 		}
 		switch req.Objective {
 		case Period:
-			return mapping.Period(inst, m, req.Model)
+			return period
 		case Latency:
-			return mapping.Latency(inst, m)
+			return latency
 		default:
-			return mapping.Energy(inst, m)
+			return energy
 		}
 	}
 	m, v, err := heur.Minimize(rng, inst, req.Rule, obj, opt)

@@ -25,6 +25,56 @@ type benchBaseline struct {
 	} `json:"variants"`
 }
 
+// The heuristic corpus variants force the annealer with ExactLimit 1 at a
+// fixed budget, so their timing measures the annealer alone and never moves
+// with the dispatcher's exact-search limit or the default budget.
+const (
+	heuristicVariantSuffix = "/heuristic"
+	heuristicIters         = 1000
+	heuristicRestarts      = 2
+)
+
+// CorpusVariant is one named scenario batch of the solver corpus benchmark.
+type CorpusVariant struct {
+	Name      string
+	Scenarios []*gen.Scenario
+}
+
+// CorpusVariants groups the seeded solver corpus (2 scenarios per
+// combination) into the variants BenchmarkCorpus records in
+// BENCH_solver.json and BenchDiff gates, sorted by name: one per (class,
+// rule, model, criterion) combination, plus "<combination>/heuristic"
+// holding that combination's scenarios that answer through the annealer
+// when forced to (ExactLimit 1, heuristicIters x heuristicRestarts).
+// Polynomial cells ignore ExactLimit, so they have no heuristic variant.
+func CorpusVariants(seed int64) ([]CorpusVariant, error) {
+	space := gen.DefaultSpace()
+	scenarios := space.Corpus(seed, 2*space.CombinationCount())
+	groups := make(map[string][]*gen.Scenario)
+	for i := range scenarios {
+		sc := &scenarios[i]
+		groups[sc.Combo()] = append(groups[sc.Combo()], sc)
+
+		forced := *sc
+		forced.Req.ExactLimit = 1
+		forced.Req.HeurIters, forced.Req.HeurRestarts = heuristicIters, heuristicRestarts
+		res, err := core.Solve(&forced.Inst, forced.Req)
+		if err != nil && !errors.Is(err, core.ErrInfeasible) {
+			return nil, fmt.Errorf("experiments: %s with the heuristic forced: %w", sc.Name, err)
+		}
+		if err == nil && res.Method == core.MethodHeuristic {
+			name := sc.Combo() + heuristicVariantSuffix
+			groups[name] = append(groups[name], &forced)
+		}
+	}
+	out := make([]CorpusVariant, 0, len(groups))
+	for name, group := range groups {
+		out = append(out, CorpusVariant{Name: name, Scenarios: group})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out, nil
+}
+
 // Timing protocol for the fresh measurement: each variant batch is solved
 // benchDiffWarmup times unmeasured (pools populated, branch predictors
 // warm), a calibration op sizes the repetition count so every timed run
@@ -63,12 +113,17 @@ func BenchDiff(w io.Writer, path string, factor float64) error {
 		return fmt.Errorf("experiments: %s has no variants (regenerate with `make bench-corpus`)", path)
 	}
 
-	space := gen.DefaultSpace()
-	scenarios := space.Corpus(base.Seed, 2*space.CombinationCount())
-	groups := make(map[string][]*gen.Scenario)
-	for i := range scenarios {
-		sc := &scenarios[i]
-		groups[sc.Combo()] = append(groups[sc.Combo()], sc)
+	variants, err := CorpusVariants(base.Seed)
+	if err != nil {
+		return err
+	}
+	groups := make(map[string][]*gen.Scenario, len(variants))
+	for _, v := range variants {
+		groups[v.Name] = v.Scenarios
+	}
+	if len(variants) != len(base.Variants) {
+		return fmt.Errorf("experiments: the corpus has %d variants, %s records %d (stale baseline; regenerate with `make bench-corpus`)",
+			len(variants), path, len(base.Variants))
 	}
 
 	tb := report.New(fmt.Sprintf("BENCH-DIFF - fresh corpus vs %s (fail > %.1fx)", path, factor),

@@ -106,6 +106,43 @@ func Energy(inst *pipeline.Instance, m *Mapping) float64 {
 	return e
 }
 
+// PowerTable holds Energy.Power of every (processor, mode) pair of one
+// instance. Energy.Power is a math.Pow; a search that scores thousands of
+// mappings pays it once per pair instead of once per interval per score.
+type PowerTable struct {
+	off    []int     // powers[off[u]+mode] is the power of processor u in mode
+	powers []float64 // one entry per (processor, mode), processor-major
+}
+
+// NewPowerTable tabulates the power of every (processor, mode) of inst.
+func NewPowerTable(inst *pipeline.Instance) PowerTable {
+	procs := inst.Platform.Processors
+	pairs := 0
+	for u := range procs {
+		pairs += procs[u].NumModes()
+	}
+	t := PowerTable{off: make([]int, len(procs)), powers: make([]float64, 0, pairs)}
+	for u := range procs {
+		t.off[u] = len(t.powers)
+		for _, s := range procs[u].Speeds {
+			t.powers = append(t.powers, inst.Energy.Power(s))
+		}
+	}
+	return t
+}
+
+// Energy returns the same value as Energy(inst, m), bit for bit: the same
+// powers summed in the same order, read from the table.
+func (t PowerTable) Energy(m *Mapping) float64 {
+	var e float64
+	for a := range m.Apps {
+		for _, iv := range m.Apps[a].Intervals {
+			e += t.powers[t.off[iv.Proc]+iv.Mode]
+		}
+	}
+	return e
+}
+
 // Metrics bundles all three criteria of a mapping.
 type Metrics struct {
 	// Period is the weighted global period max_a W_a*T_a.
