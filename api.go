@@ -135,9 +135,10 @@ type (
 	// SolveCache memoizes solver results across SolveBatch calls.
 	SolveCache = batch.Cache
 	// SolveCacheStats is a snapshot of a SolveCache's counters: the
-	// configured cap, the result tier's entries, hits, misses and
-	// evictions, and the same four counters for the plan tier
-	// (PlanEntries, PlanHits, PlanMisses, PlanEvictions).
+	// configured cap, the result store's entries, hits, misses and
+	// evictions (one lookup per query of a plan the cache compiled:
+	// batch jobs and sweep points alike), and the same four counters for
+	// the plan tier (PlanEntries, PlanHits, PlanMisses, PlanEvictions).
 	SolveCacheStats = batch.CacheStats
 )
 
@@ -147,10 +148,12 @@ type (
 func NewSolveCache() *SolveCache { return batch.NewCache() }
 
 // NewSolveCacheCap returns a memoization cache bounded to at most
-// maxEntries memoized keys; beyond the cap the least recently used entries
-// are evicted. A non-positive cap means unbounded. A bounded cache is the
-// right choice for a long-running process (see cmd/pipeserved) where an
-// unbounded memo would grow for the life of the server. Inspect usage via
+// maxEntries results and maxEntries compiled plans; beyond the cap the
+// least recently used entries are evicted. The result cap holds across
+// every plan the cache compiled, since they all answer from one store. A
+// non-positive cap means unbounded. A bounded cache is the right choice
+// for a long-running process (see cmd/pipeserved) where an unbounded memo
+// would grow for the life of the server. Inspect usage via
 // (*SolveCache).Stats.
 func NewSolveCacheCap(maxEntries int) *SolveCache { return batch.NewCacheCap(maxEntries) }
 

@@ -17,7 +17,7 @@
 //	-addr       listen address (default :8080)
 //	-workers    solver worker pool per request (0 = GOMAXPROCS)
 //	-cache-cap  entry cap of the shared memo cache (0 = unbounded,
-//	            default 65536); the cache is a sharded LRU that lives for
+//	            default 65536); the cache is an LRU that lives for
 //	            the whole process, so repeated and overlapping requests
 //	            are answered from memory
 //	-timeout    per-request wall-clock budget (0 = none, default 30s);

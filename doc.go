@@ -27,9 +27,10 @@
 // Solve calls but skip all per-instance work and answer repeated queries
 // from a bounded memo with near-zero allocations. Pareto sweeps,
 // experiment tables and batches all route through plans; a shared
-// SolveCache additionally memoizes the compiled plans themselves (the
-// plan tier; SolveCacheStats reports its entries, hits, misses and
-// evictions beside the result tier's).
+// SolveCache memoizes the compiled plans themselves (the plan tier) and
+// gives every plan it compiles one result store to answer from, so each
+// result is held once (SolveCacheStats reports the entries, hits, misses
+// and evictions of both).
 //
 // SolveBatch is the concurrent engine on top of Solve (see
 // internal/batch): it fans a slice of independent jobs across a bounded
@@ -45,11 +46,9 @@
 // the context is cancelled, jobs that have not started return ctx.Err()
 // in their slot, workers stop picking up new work, and results computed
 // before the cancellation are kept. Pair it with NewSolveCacheCap, which
-// bounds the shared memoization cache to a fixed number of entries
-// (sharded LRU with eviction statistics; the result tier, the plan tier
-// and each plan's query memo are all built on one single-flight LRU,
-// internal/memo), so one cache can serve an arbitrarily long request
-// stream — cmd/pipeserved runs the solver as an HTTP service exactly this
+// bounds the shared memoization cache to a fixed number of results and
+// plans (single-flight LRU memos with eviction statistics, internal/memo),
+// so one cache can serve an arbitrarily long request stream — cmd/pipeserved runs the solver as an HTTP service exactly this
 // way.
 //
 // The invariants these layers rely on — memoized plans and results never

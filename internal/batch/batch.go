@@ -24,9 +24,7 @@ package batch
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,15 +51,11 @@ type Options struct {
 	// Solve uses a private cache scoped to the call (still deduplicating
 	// identical jobs within the batch).
 	Cache *Cache
-	// NoDedup disables memoization entirely: every job runs the solver,
-	// even exact duplicates. Useful for benchmarking the raw pool.
-	NoDedup bool
 	// SolveBudget, if positive, is a per-job wall-clock budget: a job
 	// whose solve outlives it degrades to the plan layer's reduced-effort
 	// fallback (plan.SolveCtx — heuristic on NP-hard cells, tagged
 	// Preempted) instead of blowing the whole batch's deadline. Preempted
 	// results are never retained by the cache. Zero means no budget.
-	// Ignored with NoDedup, which bypasses the plan layer.
 	SolveBudget time.Duration
 }
 
@@ -82,11 +76,9 @@ type Stats struct {
 	CacheHits int
 	// Errors counts jobs whose Err is non-nil.
 	Errors int
-	// PlanCompiles counts compiled plans built fresh for this batch's
-	// result-cache misses; PlanReuses counts misses answered by a plan
-	// already in the cache's plan tier (possibly compiled by an earlier
-	// batch sharing the Cache). Both are zero with NoDedup, which bypasses
-	// the plan layer entirely.
+	// PlanCompiles counts the distinct jobs whose plan this batch compiled
+	// fresh; PlanReuses those answered by a plan already in the cache's
+	// plan tier (possibly compiled by an earlier batch sharing the Cache).
 	PlanCompiles, PlanReuses int
 	// Degraded counts successful jobs whose result came from the heuristic
 	// because the exact path was abandoned (Result.Degraded); Preempted is
@@ -123,16 +115,12 @@ func SolveCtx(ctx context.Context, jobs []Job, opts Options) ([]JobResult, Stats
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	var planCompiles, planReuses int64
-	if opts.NoDedup {
-		solveAll(ctx, jobs, workers, results)
-	} else {
-		cache := opts.Cache
-		if cache == nil {
-			cache = NewCache()
-		}
-		solveDeduped(ctx, jobs, workers, cache, opts.SolveBudget, results, hits, &planCompiles, &planReuses)
+	cache := opts.Cache
+	if cache == nil {
+		cache = NewCache()
 	}
+	var planCompiles, planReuses int64
+	solveDeduped(ctx, jobs, workers, cache, opts.SolveBudget, results, hits, &planCompiles, &planReuses)
 
 	stats := Stats{
 		Jobs:         len(jobs),
@@ -160,71 +148,37 @@ func SolveCtx(ctx context.Context, jobs []Job, opts Options) ([]JobResult, Stats
 	return results, stats
 }
 
-// solveOne runs core.Solve, converting a panic into a per-job error so one
-// poisoned request cannot take down a long-running process.
-func solveOne(inst *pipeline.Instance, req core.Request) (res core.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = core.Result{}
-			err = fmt.Errorf("batch: solve panicked: %v\n%s", r, debug.Stack())
-		}
-	}()
-	return core.Solve(inst, req)
-}
-
-// solvePlanned answers a result-cache miss through the cache's plan tier:
-// it fetches (compiling on first sight) the plan for the job's instance
-// triple and issues the request as an incremental query against it. This is
-// bit-identical to solveOne — Compile performs the same validation
-// core.Solve would, and plan queries dispatch through core.SolvePrepared —
-// and panics are confined the same way (PlanFor and Plan.Solve both publish
-// panics as errors rather than unwinding the worker).
+// solvePlanned answers one job through the cache: it fetches (compiling
+// on first sight) the plan for the job's instance triple and issues the
+// request as a query against it, which the cache's result store answers
+// when it holds the job's key. This is bit-identical to core.Solve —
+// Compile performs the same validation core.Solve would, and plan queries
+// dispatch through core.SolvePrepared — and a panic in either is published
+// as an error rather than unwinding the worker. hit reports whether the
+// store answered.
 //
 // A positive budget arms a per-job deadline: the query runs through
-// plan.SolveCtx, which answers from the degraded path when the deadline
+// plan.Do under it, which answers from the degraded path when the deadline
 // fires first (the full solve keeps running in the background and heals
-// the plan's memo).
-func solvePlanned(ctx context.Context, cache *Cache, job Job, budget time.Duration, planCompiles, planReuses *int64) (core.Result, error) {
-	pl, err, hit := cache.PlanFor(job.Inst, job.Req.Rule, job.Req.Model)
+// the store). Without a budget the query ignores ctx's deadline: the
+// solver is not preemptible, and only cancellation between jobs applies.
+func solvePlanned(ctx context.Context, cache *Cache, key string, planLen int, job Job, budget time.Duration, planCompiles, planReuses *int64) (core.Result, error, bool) {
+	pl, err, hit := cache.planFor(key[:planLen], job.Inst, job.Req.Rule, job.Req.Model)
 	if hit {
 		atomic.AddInt64(planReuses, 1)
 	} else {
 		atomic.AddInt64(planCompiles, 1)
 	}
 	if err != nil {
-		return core.Result{}, err
+		return core.Result{}, err, false
 	}
-	if budget <= 0 {
-		return pl.Solve(plan.QueryOf(job.Req))
+	qctx := context.WithoutCancel(ctx)
+	if budget > 0 {
+		var cancel context.CancelFunc
+		qctx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
 	}
-	jctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
-	return pl.SolveCtx(jctx, plan.QueryOf(job.Req))
-}
-
-// solveAll runs every job individually, no memoization.
-func solveAll(ctx context.Context, jobs []Job, workers int, results []JobResult) {
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					results[i] = JobResult{Err: err}
-					continue
-				}
-				res, err := solveOne(jobs[i].Inst, jobs[i].Req)
-				results[i] = JobResult{Result: res, Err: err}
-			}
-		}()
-	}
-	dispatch(ctx, len(jobs), idx, func(i int) { results[i] = JobResult{Err: ctx.Err()} })
-	wg.Wait()
+	return pl.Do(qctx, plan.QueryOf(job.Req))
 }
 
 // dispatch feeds item indices 0..n-1 into ch, stopping early when ctx is
@@ -252,18 +206,20 @@ func dispatch(ctx context.Context, n int, ch chan int, skip func(i int)) {
 // ones). The cache still single-flights across concurrent Solve calls that
 // share it.
 //
-// Result-cache misses are answered through the cache's plan tier: the job's
-// instance is compiled once per distinct (instance, rule, comm) triple and
-// every query against it — this batch's and later ones' — reuses the
-// compiled state. planCompiles/planReuses tally fresh compilations versus
-// plan-tier hits for Stats.
+// Each group is answered by solvePlanned: the job's instance is compiled
+// once per distinct (instance, rule, comm) triple and every query against
+// it — this batch's and later ones' — reuses the compiled state and the
+// cache's result store. planCompiles/planReuses tally fresh compilations
+// versus plan-tier hits for Stats.
 func solveDeduped(ctx context.Context, jobs []Job, workers int, cache *Cache, budget time.Duration, results []JobResult, hits []bool, planCompiles, planReuses *int64) {
 	keyOrder := make([]string, 0, len(jobs))
+	planLens := make([]int, 0, len(jobs))
 	groups := make(map[string][]int, len(jobs))
 	for i := range jobs {
-		k := Key(jobs[i].Inst, jobs[i].Req)
+		k, planLen := keys(jobs[i].Inst, jobs[i].Req)
 		if _, ok := groups[k]; !ok {
 			keyOrder = append(keyOrder, k)
+			planLens = append(planLens, planLen)
 		}
 		groups[k] = append(groups[k], i)
 	}
@@ -289,14 +245,11 @@ func solveDeduped(ctx context.Context, jobs []Job, workers int, cache *Cache, bu
 					}
 					continue
 				}
-				job := jobs[idxs[0]]
-				res, err, hit := cache.do(keyOrder[g], func() (core.Result, error) {
-					return solvePlanned(ctx, cache, job, budget, planCompiles, planReuses)
-				})
+				res, err, hit := solvePlanned(ctx, cache, keyOrder[g], planLens[g], jobs[idxs[0]], budget, planCompiles, planReuses)
 				for n, i := range idxs {
 					jr := JobResult{Err: err}
 					if err == nil {
-						// cache.do already returned an independent copy;
+						// The plan already returned an independent copy;
 						// the other slots of the group need their own so
 						// mutating one job's mapping never leaks into a
 						// duplicate's.

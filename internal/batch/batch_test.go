@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mapping"
-	"repro/internal/memo"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -146,52 +145,6 @@ func TestErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestShardSpread checks every result-tier shard is reachable from two key
-// families: two-byte hex strings, and the canonical keys of 3000 energy
-// queries on the Section 2 instance whose period bounds {p, p} differ only
-// in p = 2 + 0.01*i. The second family varies in high-order mantissa bits
-// alone, which an unmixed FNV-1a mod 32 folds onto 8 shards; the busiest
-// shard must stay within twice the mean load.
-func TestShardSpread(t *testing.T) {
-	const hex = "0123456789abcdef"
-	seen := make(map[int]bool)
-	for _, a := range []byte(hex) {
-		for _, b := range []byte(hex) {
-			sh := memo.ShardIndex(string([]byte{a, b}), numShards)
-			if sh < 0 || sh >= numShards {
-				t.Fatalf("shardIndex(%c%c) = %d out of range", a, b, sh)
-			}
-			seen[sh] = true
-		}
-	}
-	if len(seen) != numShards {
-		t.Errorf("hex keys: only %d of %d shards reachable", len(seen), numShards)
-	}
-
-	inst := pipeline.MotivatingExample()
-	const queries = 3000
-	var load [numShards]int
-	for i := 0; i < queries; i++ {
-		p := 2 + 0.01*float64(i)
-		key := Key(&inst, core.Request{Rule: mapping.Interval, Model: pipeline.Overlap,
-			Objective: core.Energy, PeriodBounds: []float64{p, p}})
-		load[memo.ShardIndex(key, numShards)]++
-	}
-	reached, busiest := 0, 0
-	for _, n := range load {
-		if n > 0 {
-			reached++
-		}
-		busiest = max(busiest, n)
-	}
-	if reached != numShards {
-		t.Errorf("period-bound keys: only %d of %d shards reachable", reached, numShards)
-	}
-	if mean := queries / numShards; busiest > 2*mean {
-		t.Errorf("period-bound keys: busiest shard holds %d keys, more than twice the mean %d", busiest, mean)
-	}
-}
-
 // TestSharedCacheAcrossBatches reuses one Cache over two Solve calls: the
 // second batch must be answered entirely from the cache.
 func TestSharedCacheAcrossBatches(t *testing.T) {
@@ -216,16 +169,23 @@ func TestSharedCacheAcrossBatches(t *testing.T) {
 	}
 }
 
-// TestNoDedup checks the cache can be switched off.
-func TestNoDedup(t *testing.T) {
-	inst := pipeline.MotivatingExample()
-	jobs := fig1Jobs(&inst)
-	results, stats := Solve(jobs, Options{NoDedup: true, Workers: 4})
-	if stats.CacheHits != 0 {
-		t.Errorf("CacheHits = %d with NoDedup", stats.CacheHits)
-	}
-	if !reflect.DeepEqual(results[0].Result, results[3].Result) {
-		t.Error("duplicate jobs disagree without dedup")
+// TestSharedStoreSeparatesInstances sends the same requests on two
+// instances through one cache, in one batch and again in a second: each
+// job must get its own instance's answer, never the other plan's entry.
+func TestSharedStoreSeparatesInstances(t *testing.T) {
+	fig1 := pipeline.MotivatingExample()
+	other := pipeline.MotivatingExample()
+	other.Apps[0].Weight = 3
+	jobs := append(fig1Jobs(&fig1), fig1Jobs(&other)...)
+	cache := NewCache()
+	for pass := 0; pass < 2; pass++ {
+		results, _ := Solve(jobs, Options{Cache: cache, Workers: 4})
+		for i, job := range jobs {
+			want, err := core.Solve(job.Inst, job.Req)
+			if !errors.Is(results[i].Err, err) || !reflect.DeepEqual(results[i].Result, want) {
+				t.Fatalf("pass %d job %d: got %+v (%v), want %+v (%v)", pass, i, results[i].Result, results[i].Err, want, err)
+			}
+		}
 	}
 }
 

@@ -8,10 +8,6 @@ import (
 	"repro/internal/plan"
 )
 
-// numShards bounds lock contention on the result tier; keys spread over
-// the shards by memo.ShardIndex.
-const numShards = 32
-
 // Cache memoizes solver results by canonical job key. It is safe for
 // concurrent use and performs single-flight deduplication: when several
 // workers ask for the same key at once, exactly one runs the solver and the
@@ -21,28 +17,30 @@ const numShards = 32
 // two Pareto sweeps over overlapping candidate sets, or for the whole life
 // of a server process.
 //
-// A cache built with NewCacheCap is bounded: once the configured entry cap
-// is reached the least recently used entries are evicted, so a shared
-// cache can serve a long-running process without growing without bound.
-// The cap is a hard invariant (see internal/memo for the single-flight
-// and eviction guarantees).
+// A Cache holds two memos (see internal/memo for the single-flight and
+// eviction guarantees):
 //
-// Beyond final results, a Cache carries a second tier: compiled plans
-// (internal/plan), memoized by the canonical (instance, rule, comm) key.
-// The result tier answers exact repeats; the plan tier makes *related*
-// requests on the same instance cheap — a Pareto sweep, an experiment
-// table, a batch with many queries per instance all compile each distinct
-// instance once and answer every query incrementally against the shared
-// plan. The plan tier is bounded by the same entry cap (plans are far
-// fewer than results: one per distinct instance triple, not per query).
+//   - compiled plans (internal/plan), keyed by PlanKey: the canonical
+//     (instance, rule, comm) encoding. A Pareto sweep, an experiment table
+//     or a batch with many queries per instance compiles each distinct
+//     instance once;
+//   - results, in one store that every plan compiled by PlanFor answers
+//     its queries from, keyed by Key: PlanKey followed by the query
+//     encoding. Each result is stored once, whichever batch, sweep or
+//     re-solve asked for it.
+//
+// A cache built with NewCacheCap is bounded: each memo holds at most the
+// configured number of entries and evicts the least recently used beyond
+// it, so a shared cache can serve a long-running process without growing
+// without bound. The cap is hard: the store never holds more results than
+// it, across all plans.
 //
 // The zero value is not usable; call NewCache or NewCacheCap.
 type Cache struct {
-	cap     int // total entry cap; 0 = unbounded
+	cap     int // entry cap of each memo; 0 = unbounded
 	results *memo.Cache[core.Result]
-	// plans needs one lock only: plan lookups are orders of magnitude
-	// rarer than result lookups (one per result-tier miss). Plans are
-	// immutable and safe for concurrent use, so they are shared uncloned.
+	// Plans are immutable and safe for concurrent use, so they are shared
+	// uncloned.
 	plans *memo.Cache[*plan.Plan]
 }
 
@@ -51,15 +49,13 @@ func NewCache() *Cache { return NewCacheCap(0) }
 
 // NewCacheCap returns an empty memoization cache holding at most
 // maxEntries results (and at most maxEntries plans); a non-positive
-// maxEntries means unbounded. The cap is distributed over the result
-// tier's shards so their quotas sum exactly to maxEntries; a cap smaller
-// than the shard count uses one shard, so it holds any maxEntries keys.
+// maxEntries means unbounded.
 func NewCacheCap(maxEntries int) *Cache {
 	maxEntries = max(maxEntries, 0)
 	return &Cache{
 		cap:     maxEntries,
-		results: memo.New(maxEntries, numShards, plan.CloneResult),
-		plans:   memo.New[*plan.Plan](maxEntries, 1, nil),
+		results: memo.New(maxEntries, plan.CloneResult),
+		plans:   memo.New[*plan.Plan](maxEntries, nil),
 	}
 }
 
@@ -71,14 +67,17 @@ func (c *Cache) Len() int { return c.results.Stats().Entries }
 
 // CacheStats is a point-in-time snapshot of a Cache's counters.
 type CacheStats struct {
-	// Entries is the current number of memoized keys (including in-flight).
+	// Entries is the current number of memoized results (including
+	// in-flight ones).
 	Entries int
 	// Cap is the configured entry cap; 0 = unbounded.
 	Cap int
-	// Hits counts lookups answered by an existing (possibly in-flight)
-	// entry; Misses counts lookups that ran the computation.
+	// Hits counts result lookups answered by an existing (possibly
+	// in-flight) entry; Misses counts lookups that ran the solver. Every
+	// query of a plan from PlanFor is a lookup: batch jobs, Pareto sweep
+	// points and re-solves alike.
 	Hits, Misses int64
-	// Evictions counts entries dropped to keep the cache under its cap.
+	// Evictions counts results dropped to keep the store under its cap.
 	Evictions int64
 
 	// PlanEntries is the number of memoized compiled plans (including
@@ -104,8 +103,8 @@ func (s CacheStats) HitRate() float64 { return rateOf(s.Hits, s.Misses) }
 // plan-tier lookup.
 func (s CacheStats) PlanHitRate() float64 { return rateOf(s.PlanHits, s.PlanMisses) }
 
-// Stats returns a snapshot of the cache counters (approximate under
-// concurrent traffic; see memo.Cache.Stats).
+// Stats returns a snapshot of the cache counters (each memo's counters
+// are consistent; the two memos are read one after the other).
 func (c *Cache) Stats() CacheStats {
 	r, p := c.results.Stats(), c.plans.Stats()
 	return CacheStats{
@@ -116,40 +115,21 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// do returns the result for key, computing it with compute on first
-// arrival. hit reports whether an existing (possibly still in-flight)
-// computation was reused. The returned Result is an independent copy of
-// the stored value; failed computations return the stored Result
-// untouched (the zero value), preserving bit-identity with a direct
-// core.Solve call. A panic in compute is re-published as the entry's
-// error to the computing caller and every waiter alike.
-//
-// Preempted (budget-expired) results are published to any waiters already
-// parked on the entry — they shared the same overloaded window — but never
-// retained: whether a wall-clock deadline fired is a property of scheduler
-// timing, not of the key, so caching one would let a transient stall
-// permanently poison budget-free solves of the same problem.
-func (c *Cache) do(key string, compute func() (core.Result, error)) (core.Result, error, bool) {
-	e, hit := c.results.Install(key)
-	if !hit {
-		c.results.Publish(e, compute)
-	}
-	res, err := c.results.Wait(e)
-	if !hit && err == nil && res.Preempted {
-		c.results.Forget(e)
-	}
-	return res, err, hit
-}
-
 // PlanFor returns the compiled plan for (inst, rule, model), compiling it
 // on first arrival; concurrent requests for the same key wait for the one
 // in-flight compilation. hit reports whether an existing (possibly
-// in-flight) plan was reused. The returned *Plan is shared — plans are
+// in-flight) plan was reused. The plan answers its queries from the
+// cache's result store. The returned *Plan is shared — plans are
 // immutable and safe for concurrent use, so no copy is needed. A
 // compilation failure (invalid instance) is memoized like a result error
 // and returned to every waiter, and a panic is published the same way.
 func (c *Cache) PlanFor(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (*plan.Plan, error, bool) {
-	return c.plans.Do(PlanKey(inst, rule, model), func() (*plan.Plan, error) {
-		return plan.Compile(inst, rule, model)
+	return c.planFor(PlanKey(inst, rule, model), inst, rule, model)
+}
+
+// planFor is PlanFor with the plan key already encoded.
+func (c *Cache) planFor(key string, inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (*plan.Plan, error, bool) {
+	return c.plans.Do(key, func() (*plan.Plan, error) {
+		return plan.CompileIn(c.results, key, inst, rule, model)
 	})
 }

@@ -8,10 +8,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mapping"
-	"repro/internal/memo"
 	"repro/internal/pipeline"
 )
 
@@ -37,7 +37,7 @@ func TestCacheCapNeverExceeded(t *testing.T) {
 	const cap = 50
 	c := NewCacheCap(cap)
 	for n := 0; n < 10*cap; n++ {
-		c.do(hexKey(n), func() (core.Result, error) { return solvedResult(float64(n)), nil })
+		c.results.Do(hexKey(n), func() (core.Result, error) { return solvedResult(float64(n)), nil })
 		if got := c.Len(); got > cap {
 			t.Fatalf("after %d inserts: Len = %d exceeds cap %d", n+1, got, cap)
 		}
@@ -57,52 +57,35 @@ func TestCacheCapNeverExceeded(t *testing.T) {
 	}
 }
 
-// shardKeys returns a generator of distinct keys all hashing to the given
-// shard of an n-shard cache.
-func shardKeys(shard, n int) func(int) string {
-	return func(k int) string {
-		for i := 0; ; i++ {
-			key := fmt.Sprintf("key-%d-%d", k, i)
-			if memo.ShardIndex(key, n) == shard {
-				return key
-			}
-		}
-	}
-}
-
 // TestCacheLRUOrder checks that touching an entry protects it from
-// eviction ahead of colder entries in the same shard.
+// eviction ahead of colder entries.
 func TestCacheLRUOrder(t *testing.T) {
-	shardKey := shardKeys(0, numShards)
-	c := NewCacheCap(numShards * 2) // quota of 2 entries per shard
+	c := NewCacheCap(2)
 	compute := func(v float64) func() (core.Result, error) {
 		return func() (core.Result, error) { return solvedResult(v), nil }
 	}
-	c.do(shardKey(1), compute(1))
-	c.do(shardKey(2), compute(2))
-	c.do(shardKey(1), compute(1)) // touch 1: now 2 is the LRU entry
-	c.do(shardKey(3), compute(3)) // evicts 2
-	if _, _, hit := c.do(shardKey(1), compute(1)); !hit {
+	c.results.Do(hexKey(1), compute(1))
+	c.results.Do(hexKey(2), compute(2))
+	c.results.Do(hexKey(1), compute(1)) // touch 1: now 2 is the LRU entry
+	c.results.Do(hexKey(3), compute(3)) // evicts 2
+	if _, _, hit := c.results.Do(hexKey(1), compute(1)); !hit {
 		t.Error("recently used key 1 was evicted")
 	}
-	if _, _, hit := c.do(shardKey(2), compute(2)); hit {
-		t.Error("least recently used key 2 survived past the quota")
+	if _, _, hit := c.results.Do(hexKey(2), compute(2)); hit {
+		t.Error("least recently used key 2 survived past the cap")
 	}
 }
 
-// TestCacheSmallCapKeepsEveryShardUseful is the small-cap satellite
-// regression: NewCacheCap(n) with n below the shard count used to hand
-// most shards a zero quota, so entries landing there were evicted at
-// publish — memoization and late-arrival single-flight silently vanished
-// for most keys. The fix collapses a cache whose cap is below the shard
-// count to a single shard, so it holds any cap distinct keys.
+// TestCacheSmallCapKeepsEveryShardUseful checks a small cap holds any cap
+// distinct keys, keeps the cap under churn, and still lets a late arrival
+// join an in-flight computation.
 func TestCacheSmallCapKeepsEveryShardUseful(t *testing.T) {
 	const cap = 5
 	c := NewCacheCap(cap)
-	// cap distinct keys must all be retained: no shard may evict while the
-	// cache as a whole is under its cap.
+	// cap distinct keys must all be retained: nothing may be evicted while
+	// the store is under its cap.
 	for n := 0; n < cap; n++ {
-		c.do(hexKey(n), func() (core.Result, error) { return solvedResult(float64(n)), nil })
+		c.results.Do(hexKey(n), func() (core.Result, error) { return solvedResult(float64(n)), nil })
 	}
 	if ev := c.Stats().Evictions; ev != 0 {
 		t.Fatalf("%d evictions while holding %d entries under cap %d", ev, cap, cap)
@@ -111,7 +94,7 @@ func TestCacheSmallCapKeepsEveryShardUseful(t *testing.T) {
 		t.Fatalf("Len = %d after %d distinct inserts, want %d", got, cap, cap)
 	}
 	for n := 0; n < cap; n++ {
-		if _, _, hit := c.do(hexKey(n), func() (core.Result, error) {
+		if _, _, hit := c.results.Do(hexKey(n), func() (core.Result, error) {
 			t.Errorf("key %d recomputed under cap", n)
 			return core.Result{}, nil
 		}); !hit {
@@ -121,7 +104,7 @@ func TestCacheSmallCapKeepsEveryShardUseful(t *testing.T) {
 
 	// The hard cap invariant must still hold under churn.
 	for n := 0; n < 50; n++ {
-		c.do(hexKey(100+n), func() (core.Result, error) { return solvedResult(1), nil })
+		c.results.Do(hexKey(100+n), func() (core.Result, error) { return solvedResult(1), nil })
 		if got := c.Len(); got > cap {
 			t.Fatalf("Len = %d exceeds small cap %d", got, cap)
 		}
@@ -135,7 +118,7 @@ func TestCacheSmallCapKeepsEveryShardUseful(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		c2.do(hexKey(0), func() (core.Result, error) {
+		c2.results.Do(hexKey(0), func() (core.Result, error) {
 			close(started)
 			<-release
 			return solvedResult(7), nil
@@ -144,7 +127,7 @@ func TestCacheSmallCapKeepsEveryShardUseful(t *testing.T) {
 	<-started
 	joined := make(chan bool, 1)
 	go func() {
-		_, _, hit := c2.do(hexKey(0), func() (core.Result, error) {
+		_, _, hit := c2.results.Do(hexKey(0), func() (core.Result, error) {
 			return solvedResult(-1), nil
 		})
 		joined <- hit
@@ -160,15 +143,15 @@ func TestCacheSmallCapKeepsEveryShardUseful(t *testing.T) {
 // as a 1-entry LRU, never exceed its cap, and still answer repeats.
 func TestCacheCapOne(t *testing.T) {
 	c := NewCacheCap(1)
-	c.do(hexKey(1), func() (core.Result, error) { return solvedResult(1), nil })
-	if _, _, hit := c.do(hexKey(1), func() (core.Result, error) { return core.Result{}, nil }); !hit {
+	c.results.Do(hexKey(1), func() (core.Result, error) { return solvedResult(1), nil })
+	if _, _, hit := c.results.Do(hexKey(1), func() (core.Result, error) { return core.Result{}, nil }); !hit {
 		t.Error("sole entry not retained at cap 1")
 	}
-	c.do(hexKey(2), func() (core.Result, error) { return solvedResult(2), nil })
+	c.results.Do(hexKey(2), func() (core.Result, error) { return solvedResult(2), nil })
 	if got := c.Len(); got != 1 {
 		t.Fatalf("Len = %d at cap 1", got)
 	}
-	if _, _, hit := c.do(hexKey(2), func() (core.Result, error) { return core.Result{}, nil }); !hit {
+	if _, _, hit := c.results.Do(hexKey(2), func() (core.Result, error) { return core.Result{}, nil }); !hit {
 		t.Error("newest entry evicted in favour of the displaced one")
 	}
 }
@@ -177,7 +160,7 @@ func TestCacheCapOne(t *testing.T) {
 func TestCacheUnboundedByDefault(t *testing.T) {
 	c := NewCache()
 	for n := 0; n < 500; n++ {
-		c.do(hexKey(n), func() (core.Result, error) { return solvedResult(1), nil })
+		c.results.Do(hexKey(n), func() (core.Result, error) { return solvedResult(1), nil })
 	}
 	if got := c.Len(); got != 500 {
 		t.Fatalf("Len = %d, want 500", got)
@@ -198,7 +181,7 @@ func TestCachePanicDoesNotDeadlockWaiters(t *testing.T) {
 	release := make(chan struct{})
 	first := make(chan error, 1)
 	go func() {
-		_, err, _ := c.do(key, func() (core.Result, error) {
+		_, err, _ := c.results.Do(key, func() (core.Result, error) {
 			close(started)
 			<-release
 			panic("poisoned request")
@@ -214,7 +197,7 @@ func TestCachePanicDoesNotDeadlockWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err, hit := c.do(key, func() (core.Result, error) {
+			_, err, hit := c.results.Do(key, func() (core.Result, error) {
 				t.Error("waiter ran compute despite in-flight entry")
 				return core.Result{}, nil
 			})
@@ -243,7 +226,7 @@ func TestCachePanicDoesNotDeadlockWaiters(t *testing.T) {
 // message), while an ordinary batch on the same cache keeps working.
 func TestSolvePanicConfinedToSlot(t *testing.T) {
 	cache := NewCache()
-	_, err, _ := cache.do(hexKey(1), func() (core.Result, error) { panic("boom") })
+	_, err, _ := cache.results.Do(hexKey(1), func() (core.Result, error) { panic("boom") })
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("cache.do returned %v, want panic error", err)
 	}
@@ -261,7 +244,7 @@ func TestSolvePanicConfinedToSlot(t *testing.T) {
 func TestCacheReturnsIndependentCopies(t *testing.T) {
 	c := NewCache()
 	key := hexKey(3)
-	first, err, _ := c.do(key, func() (core.Result, error) { return solvedResult(5), nil })
+	first, err, _ := c.results.Do(key, func() (core.Result, error) { return solvedResult(5), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +252,7 @@ func TestCacheReturnsIndependentCopies(t *testing.T) {
 	first.Mapping.Apps[0].Intervals[0].Proc = 99
 	first.Value = -1
 
-	second, err, hit := c.do(key, func() (core.Result, error) {
+	second, err, hit := c.results.Do(key, func() (core.Result, error) {
 		t.Fatal("cache miss after mutation: entry was lost")
 		return core.Result{}, nil
 	})
@@ -280,7 +263,7 @@ func TestCacheReturnsIndependentCopies(t *testing.T) {
 		t.Errorf("cache hit corrupted by caller mutation:\ngot  %+v\nwant %+v", second, want)
 	}
 	second.Mapping.Apps[0].Intervals[0].Mode = 42
-	third, _, _ := c.do(key, func() (core.Result, error) { return core.Result{}, nil })
+	third, _, _ := c.results.Do(key, func() (core.Result, error) { return core.Result{}, nil })
 	if !reflect.DeepEqual(third, want) {
 		t.Error("second mutation leaked into the memoized value")
 	}
@@ -319,7 +302,7 @@ func TestBoundedCacheConcurrentMixedWorkload(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for n := 0; n < 400; n++ {
 				k := rng.Intn(3 * cap)
-				res, err, _ := c.do(hexKey(k), func() (core.Result, error) {
+				res, err, _ := c.results.Do(hexKey(k), func() (core.Result, error) {
 					if k%7 == 0 {
 						return core.Result{}, core.ErrInfeasible
 					}
@@ -353,18 +336,16 @@ func TestSolveCtxPreCancelled(t *testing.T) {
 	jobs := fig1Jobs(&inst)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, noDedup := range []bool{false, true} {
-		results, stats := SolveCtx(ctx, jobs, Options{Workers: 2, NoDedup: noDedup})
-		if stats.Errors != len(jobs) {
-			t.Errorf("noDedup=%v: Errors = %d, want %d", noDedup, stats.Errors, len(jobs))
+	results, stats := SolveCtx(ctx, jobs, Options{Workers: 2})
+	if stats.Errors != len(jobs) {
+		t.Errorf("Errors = %d, want %d", stats.Errors, len(jobs))
+	}
+	for i, r := range results {
+		if r.Err != context.Canceled {
+			t.Errorf("job %d: Err = %v, want context.Canceled", i, r.Err)
 		}
-		for i, r := range results {
-			if r.Err != context.Canceled {
-				t.Errorf("noDedup=%v job %d: Err = %v, want context.Canceled", noDedup, i, r.Err)
-			}
-			if !reflect.DeepEqual(r.Result, core.Result{}) {
-				t.Errorf("noDedup=%v job %d: cancelled slot carries a result", noDedup, i)
-			}
+		if !reflect.DeepEqual(r.Result, core.Result{}) {
+			t.Errorf("job %d: cancelled slot carries a result", i)
 		}
 	}
 }
@@ -410,6 +391,89 @@ func TestSolveCtxBackgroundMatchesSolve(t *testing.T) {
 	for i := range jobs {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("job %d: SolveCtx differs from Solve", i)
+		}
+	}
+}
+
+// TestCacheCapBoundsResults checks the cap bounds every result the cache
+// holds, not just one tier of it: 3000 distinct energy queries on the
+// Section 2 instance, interleaved with queries on a second instance,
+// through a 4-entry cache. Both plans answer from the one store, so
+// neither ever sees more than 4 results.
+func TestCacheCapBoundsResults(t *testing.T) {
+	const cap, queries, perBatch = 4, 3000, 100
+	fig1 := pipeline.MotivatingExample()
+	other := pipeline.MotivatingExample()
+	other.Apps[0].Weight = 3
+	c := NewCacheCap(cap)
+	for b := 0; b < queries/perBatch; b++ {
+		var jobs []Job
+		for i := b * perBatch; i < (b+1)*perBatch; i++ {
+			p := 2 + 0.01*float64(i)
+			jobs = append(jobs, Job{Inst: &fig1, Req: core.Request{Rule: mapping.Interval, Model: pipeline.Overlap,
+				Objective: core.Energy, PeriodBounds: []float64{p, p}}})
+			if i%10 == 0 {
+				jobs = append(jobs, Job{Inst: &other, Req: core.Request{Rule: mapping.Interval, Model: pipeline.Overlap,
+					Objective: core.Period, Seed: int64(i)}})
+			}
+		}
+		results, stats := Solve(jobs, Options{Cache: c, Workers: 2})
+		if stats.Errors != 0 {
+			for i, r := range results {
+				if r.Err != nil {
+					t.Fatalf("batch %d job %d: %v", b, i, r.Err)
+				}
+			}
+		}
+		if got := c.Len(); got > cap {
+			t.Fatalf("after batch %d: %d results held, cap %d", b, got, cap)
+		}
+		for _, inst := range []*pipeline.Instance{&fig1, &other} {
+			pl, err, _ := c.PlanFor(inst, mapping.Interval, pipeline.Overlap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := pl.QueryStats().Entries; got > cap {
+				t.Fatalf("after batch %d: a plan holds %d results, cap %d", b, got, cap)
+			}
+		}
+	}
+	if s := c.Stats(); s.Misses < queries || s.Evictions < queries-cap {
+		t.Errorf("misses/evictions = %d/%d, want at least %d/%d", s.Misses, s.Evictions, queries, queries-cap)
+	}
+}
+
+// TestSolveBudgetPreemptedNeverStored checks no preempted result stays in
+// the result store: after budgeted batches whose jobs degrade, every job
+// key the store holds carries the full solve's clean answer once ready.
+func TestSolveBudgetPreemptedNeverStored(t *testing.T) {
+	mi := pipeline.MotivatingExample()
+	var jobs []Job
+	for x := 1; x <= 8; x++ {
+		jobs = append(jobs, Job{Inst: &mi, Req: core.Request{Rule: mapping.Interval, Objective: core.Energy,
+			PeriodBounds: core.UniformBounds(&mi, 1+float64(x)/4), Seed: 1}})
+	}
+	jobs = append(jobs, Job{Inst: &mi, Req: core.Request{Rule: mapping.Interval, Objective: core.Latency, Seed: 1}})
+	cache := NewCache()
+	preempted := 0
+	for _, budget := range []time.Duration{time.Nanosecond, time.Microsecond, 20 * time.Microsecond} {
+		_, stats := Solve(jobs, Options{Cache: cache, SolveBudget: budget, Workers: 2})
+		preempted += stats.Preempted
+	}
+	if preempted == 0 {
+		t.Fatal("no job was preempted: the test exercises nothing")
+	}
+	for i, job := range jobs {
+		e, ok := cache.results.Get([]byte(Key(job.Inst, job.Req)))
+		if !ok {
+			continue
+		}
+		res, err := cache.results.Wait(e)
+		if err != nil {
+			t.Fatalf("job %d: stored error %v", i, err)
+		}
+		if res.Preempted {
+			t.Errorf("job %d: the store holds a preempted result", i)
 		}
 	}
 }

@@ -8,18 +8,17 @@ import (
 	"repro/internal/core"
 	"repro/internal/mapping"
 	"repro/internal/pipeline"
+	"repro/internal/plan"
 )
 
-// keyWriter appends a canonical binary encoding of a job to a pooled
-// buffer. Every field is written with an explicit length or presence tag so
-// that no two distinct (instance, request) pairs share an encoding: floats
-// are written as their IEEE-754 bit patterns (so 0 and -0 differ, and NaN
-// payloads are preserved), slices are length-prefixed, and nil slices are
-// distinguished from empty ones because the nil-ness of Request bounds is
-// semantically meaningful to the solver ("unconstrained" versus
-// "constrained"). The encoding itself is the map key — exact by
-// construction, no hashing cost, and the string(buf) conversion is the only
-// allocation per lookup.
+// keyWriter appends a canonical binary encoding of a plan's inputs
+// (instance, rule, communication model) to a pooled buffer. Every field is
+// written with an explicit length or presence tag so that no two distinct
+// inputs share an encoding: floats are written as their IEEE-754 bit
+// patterns (so 0 and -0 differ, and NaN payloads are preserved), slices
+// are length-prefixed, and nil slices are distinguished from empty ones.
+// The encoding itself is the map key — exact by construction, no hashing
+// cost, and the string(buf) conversion is the only allocation per key.
 type keyWriter struct {
 	buf []byte
 }
@@ -73,24 +72,21 @@ func (k *keyWriter) done() string {
 // Key returns a stable canonical key identifying a (instance, request)
 // pair: two jobs receive the same key exactly when every field that can
 // influence core.Solve (and the cosmetic names carried into reports) is
-// identical. The key is the canonical byte encoding itself, so equality is
-// exact by construction.
+// identical. It is PlanKey followed by the plan layer's query encoding
+// (plan.AppendQueryKey), so one byte string serves as the job's dedup key,
+// its routing key and its key in the cache's result store.
 func Key(inst *pipeline.Instance, req core.Request) string {
+	key, _ := keys(inst, req)
+	return key
+}
+
+// keys returns Key(inst, req) and the length of its PlanKey prefix.
+func keys(inst *pipeline.Instance, req core.Request) (key string, planLen int) {
 	k := keyPool.Get().(*keyWriter)
-	k.instance(inst)
-
-	k.i64(int64(req.Rule))
-	k.i64(int64(req.Model))
-	k.i64(int64(req.Objective))
-	k.floats(req.PeriodBounds)
-	k.floats(req.LatencyBounds)
-	k.f64(req.EnergyBudget)
-	k.i64(req.ExactLimit)
-	k.i64(req.Seed)
-	k.i64(int64(req.HeurIters))
-	k.i64(int64(req.HeurRestarts))
-
-	return k.done()
+	k.planInputs(inst, req.Rule, req.Model)
+	planLen = len(k.buf)
+	k.buf = plan.AppendQueryKey(k.buf, plan.QueryOf(req))
+	return k.done(), planLen
 }
 
 // PlanKey returns the canonical key of a compiled plan's inputs: the
@@ -99,10 +95,14 @@ func Key(inst *pipeline.Instance, req core.Request) string {
 // internal/plan); like Key, it is the canonical byte encoding itself.
 func PlanKey(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) string {
 	k := keyPool.Get().(*keyWriter)
+	k.planInputs(inst, rule, model)
+	return k.done()
+}
+
+func (k *keyWriter) planInputs(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) {
 	k.instance(inst)
 	k.i64(int64(rule))
 	k.i64(int64(model))
-	return k.done()
 }
 
 // instance streams the canonical instance encoding: every field that can

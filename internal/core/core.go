@@ -383,9 +383,16 @@ func trivialOneToOne(inst *pipeline.Instance, req Request) (Result, error) {
 }
 
 // fallback tries the exhaustive solver within the search-space limit and
-// falls back to the heuristic beyond it.
+// falls back to the heuristic beyond it. A rule that admits no mapping at
+// all (one-to-one with fewer processors than stages) is infeasible at once:
+// neither search could find one, and the exact one would walk every
+// partial placement to prove it.
 func fallback(inst *pipeline.Instance, req Request, solve func() (exact.Solution, error)) (Result, error) {
-	if withinExactLimit(inst, req) {
+	n, err := exact.CountMappings(inst, exact.Options{Rule: req.Rule, Modes: exact.AllModes, Limit: req.exactLimit()})
+	if err == nil && n == 0 {
+		return Result{}, ErrInfeasible
+	}
+	if err == nil {
 		sol, err := solve()
 		if errors.Is(err, exact.ErrInfeasible) {
 			return Result{}, ErrInfeasible
@@ -465,13 +472,6 @@ func lowerBound(inst *pipeline.Instance, req Request) float64 {
 		}
 		return float64(n) * minPower
 	}
-}
-
-// withinExactLimit estimates whether exhaustive search fits the budget by
-// counting mappings up to the limit.
-func withinExactLimit(inst *pipeline.Instance, req Request) bool {
-	_, err := exact.CountMappings(inst, exact.Options{Rule: req.Rule, Modes: exact.AllModes, Limit: req.exactLimit()})
-	return err == nil
 }
 
 // heuristicSolve builds the penalized objective for the request and runs

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/algo/exact"
 	"repro/internal/fmath"
@@ -168,6 +169,38 @@ func TestSolveExactFallbackOnSmallHet(t *testing.T) {
 	}
 	if !fmath.EQ(res.Value, want.Value) {
 		t.Errorf("period %g, oracle %g", res.Value, want.Value)
+	}
+}
+
+// TestSolveProcStarvedOneToOneIsInfeasibleAtOnce pins the zero-mapping
+// shortcut: 15 stages on 12 fully heterogeneous processors admit no
+// one-to-one mapping, so a request the exact search would otherwise have
+// to refute placement by placement (it ran for minutes) answers
+// ErrInfeasible at once, on the exact and the degraded path alike.
+func TestSolveProcStarvedOneToOneIsInfeasibleAtOnce(t *testing.T) {
+	cfg := workload.DefaultConfig()
+	cfg.Apps, cfg.MinStages, cfg.MaxStages, cfg.Procs, cfg.Modes = 3, 3, 6, 12, 3
+	cfg.Class = pipeline.FullyHeterogeneous
+	inst := workload.MustInstance(rand.New(rand.NewSource(78)), cfg)
+	if n := inst.TotalStages(); n <= cfg.Procs {
+		t.Fatalf("instance has %d stages on %d processors, want more stages", n, cfg.Procs)
+	}
+	for _, limit := range []int64{0, 1} {
+		req := Request{Rule: mapping.OneToOne, Objective: Latency,
+			PeriodBounds: UniformBounds(&inst, 100), ExactLimit: limit}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Solve(&inst, req)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrInfeasible) {
+				t.Errorf("ExactLimit %d: err = %v, want ErrInfeasible", limit, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("ExactLimit %d: no answer within 5s", limit)
+		}
 	}
 }
 

@@ -32,12 +32,11 @@ import (
 // loadExpensivePool most expensive ones (millisecond solves, distinct keys
 // via the request seed). LRU keeps the hot head resident while the cold
 // tail churns through. The uniform working set fits the cluster's cache,
-// so after warmup nearly every lookup hits (a few evict only when three
-// of one replica's keys share a two-entry shard).
+// so after warmup every lookup hits.
 const (
 	loadReplicas      = 3
 	loadBatchJobs     = 8
-	loadCacheCap      = 64 // per replica; 32 shards x quota 2
+	loadCacheCap      = 64 // results per replica
 	loadPricedPool    = 600
 	loadHotJobs       = 64
 	loadColdJobs      = 2000
@@ -50,10 +49,11 @@ const (
 	// loadZipfFloor gates the zipf run's hit rate. Five reruns at seed 1
 	// and the default 100 measured batches, on a 2-core VM, read 0.659,
 	// 0.689, 0.701, 0.703 and 0.716: the rate moves with the wall-clock
-	// pricing that picks the hot head (which hot keys share a shard) and
-	// with the order the four posters interleave. The floor is their
-	// minimum minus their spread, 0.659 - (0.716 - 0.659) = 0.602. The
-	// shorter 50-batch run read 0.633-0.650 in three reruns.
+	// pricing that picks the hot head and with the order the four
+	// posters interleave. The floor is their minimum minus their spread,
+	// 0.659 - (0.716 - 0.659) = 0.602. Those runs split each replica's
+	// store into 32 LRU shards; with one LRU per replica five reruns read
+	// 0.731-0.741, and the shorter 50-batch run 0.697-0.705 in three.
 	loadZipfFloor = 0.602
 )
 

@@ -26,8 +26,7 @@ type Router interface {
 	Route(key string, healthy func(int) bool) (replica int, ok bool)
 }
 
-// fnv1a hashes a string with 64-bit FNV-1a — the same hash family the
-// batch cache shards by, cheap and dependency-free.
+// fnv1a hashes a string with 64-bit FNV-1a, cheap and dependency-free.
 func fnv1a(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {

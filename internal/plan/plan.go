@@ -21,12 +21,15 @@
 //   - query keys are encoded into pooled scratch buffers (sync.Pool), so
 //     the hot path does not regrow an arena per call.
 //
+// A plan from Compile owns a private memo. A plan from CompileIn memoizes
+// into a store it shares with other plans, under its own key prefix: the
+// batch engine's cache (internal/batch.Cache) compiles every plan that way,
+// so its one capped result store holds each answer once, whichever plan
+// computed it.
+//
 // A Plan is safe for concurrent use by any number of goroutines; every
 // returned Result is an independent deep copy, so callers can mutate their
-// mappings freely without corrupting the memo (the same aliasing guarantee
-// the batch cache makes). Plans are themselves memoized across requests by
-// the batch engine's plan cache tier (internal/batch.Cache), keyed by the
-// canonical (instance, rule, comm) encoding.
+// mappings freely without corrupting the memo.
 package plan
 
 import (
@@ -35,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -45,9 +49,9 @@ import (
 	"repro/internal/pipeline"
 )
 
-// memoCap bounds each plan's query memo: beyond it the least recently used
-// query results are evicted, so a long-lived cached plan cannot grow
-// without bound under adversarial query streams.
+// memoCap bounds the private memo of a plan from Compile: beyond it the
+// least recently used query results are evicted, so a long-lived plan
+// cannot grow without bound under adversarial query streams.
 const memoCap = 4096
 
 // Query is one criterion/bound question against a compiled plan. It is
@@ -103,7 +107,11 @@ type Plan struct {
 	candsOnce sync.Once
 	cands     []float64
 
+	// memo holds query results under keys prefix ++ AppendQueryKey(q):
+	// a private memo with an empty prefix (Compile), or a shared store in
+	// which prefix names this plan's inputs (CompileIn).
 	memo     *memo.Cache[core.Result]
+	prefix   string
 	degraded atomic.Int64
 }
 
@@ -121,16 +129,28 @@ var keyPool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }
 // later caller mutations of inst cannot corrupt compiled state), classifies
 // the platform and precomputes the per-application prefix sums and period
 // lower bounds. The same inputs always compile to a plan whose queries are
-// bit-identical to fresh core.Solve calls on the original instance.
+// bit-identical to fresh core.Solve calls on the original instance. The
+// plan memoizes its queries in a private memo of memoCap entries.
 func Compile(inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (*Plan, error) {
+	return CompileIn(memo.New(memoCap, CloneResult), "", inst, rule, model)
+}
+
+// CompileIn is Compile for a plan that memoizes its queries in store,
+// under keys made of prefix followed by the query's canonical encoding.
+// store must clone results on read (CloneResult). Plans sharing a store
+// must use self-delimiting prefixes that identify their (instance, rule,
+// model) inputs, so no two (prefix, query) pairs encode alike;
+// internal/batch uses its canonical PlanKey.
+func CompileIn(store *memo.Cache[core.Result], prefix string, inst *pipeline.Instance, rule mapping.Rule, model pipeline.CommModel) (*Plan, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
 	p := &Plan{
-		inst:  inst.Clone(),
-		rule:  rule,
-		model: model,
-		memo:  memo.New(memoCap, 1, CloneResult),
+		inst:   inst.Clone(),
+		rule:   rule,
+		model:  model,
+		memo:   store,
+		prefix: prefix,
 	}
 	p.cls = p.inst.Platform.Classify()
 	p.prefixes = make([][]float64, len(p.inst.Apps))
@@ -202,11 +222,8 @@ func (p *Plan) Request(q Query) core.Request {
 // deep copy and the error, value, metrics, method, optimality flag and
 // mapping are bit-identical to core.Solve(instance, plan.Request(q)).
 func (p *Plan) Solve(q Query) (core.Result, error) {
-	e, hit := p.lookup(q)
-	if !hit {
-		p.memo.Publish(e, p.solver(q))
-	}
-	return p.memo.Wait(e)
+	res, err, _ := p.Do(context.Background(), q)
+	return res, err
 }
 
 // SolveCtx is Solve under a wall-clock budget: when ctx carries no deadline
@@ -218,14 +235,23 @@ func (p *Plan) Solve(q Query) (core.Result, error) {
 // the budget-free answer. A cancelled (as opposed to expired) context
 // returns ctx.Err(): the caller has gone away and no answer is wanted.
 func (p *Plan) SolveCtx(ctx context.Context, q Query) (core.Result, error) {
+	res, err, _ := p.Do(ctx, q)
+	return res, err
+}
+
+// Do is SolveCtx that also reports whether the answer came from an
+// existing memo entry (possibly joined while still in flight).
+func (p *Plan) Do(ctx context.Context, q Query) (core.Result, error, bool) {
 	if ctx.Done() == nil {
-		return p.Solve(q)
+		e, hit := p.lookup(q)
+		if !hit {
+			p.memo.Publish(e, p.solver(q))
+		}
+		res, err := p.memo.Wait(e)
+		return res, err, hit
 	}
 	if err := ctx.Err(); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			return p.degradedSolve(q)
-		}
-		return core.Result{}, err
+		return p.interrupted(err, q)
 	}
 	e, hit := p.lookup(q)
 	if !hit {
@@ -236,13 +262,22 @@ func (p *Plan) SolveCtx(ctx context.Context, q Query) (core.Result, error) {
 	}
 	select {
 	case <-e.Ready():
-		return p.memo.Wait(e)
+		res, err := p.memo.Wait(e)
+		return res, err, hit
 	case <-ctx.Done():
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			return p.degradedSolve(q)
-		}
-		return core.Result{}, ctx.Err()
+		return p.interrupted(ctx.Err(), q)
 	}
+}
+
+// interrupted answers a query whose context ended before its answer was
+// ready: an expired budget degrades, a cancellation returns its error.
+// Neither answer comes from the memo.
+func (p *Plan) interrupted(err error, q Query) (core.Result, error, bool) {
+	if errors.Is(err, context.DeadlineExceeded) {
+		res, err := p.degradedSolve(q)
+		return res, err, false
+	}
+	return core.Result{}, err, false
 }
 
 // lookup finds or installs the single-flight memo entry for q. hit reports
@@ -251,7 +286,7 @@ func (p *Plan) SolveCtx(ctx context.Context, q Query) (core.Result, error) {
 // pooled buffer, so a hit allocates nothing.
 func (p *Plan) lookup(q Query) (e *memo.Entry[core.Result], hit bool) {
 	kp := keyPool.Get().(*[]byte)
-	buf := appendQueryKey((*kp)[:0], q)
+	buf := AppendQueryKey(append((*kp)[:0], p.prefix...), q)
 	if e, hit = p.memo.Get(buf); !hit {
 		e, hit = p.memo.Install(string(buf))
 	}
@@ -276,8 +311,15 @@ func (p *Plan) solver(q Query) func() (core.Result, error) {
 // same query key. A failure of the fallback itself is reported as
 // context.DeadlineExceeded: the budget expired and the quick path could not
 // produce a trustworthy verdict (the heuristic's "infeasible" is not a
-// proof), so clients should retry with a larger budget.
-func (p *Plan) degradedSolve(q Query) (core.Result, error) {
+// proof), so clients should retry with a larger budget. The fallback runs
+// on the caller's goroutine, outside any memo entry, so it recovers its own
+// panics the way memo.Publish does.
+func (p *Plan) degradedSolve(q Query) (res core.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = core.Result{}, fmt.Errorf("plan: degraded solve panicked: %v\n%s", r, debug.Stack())
+		}
+	}()
 	p.degraded.Add(1)
 	dq := q
 	dq.ExactLimit = 1
@@ -286,7 +328,7 @@ func (p *Plan) degradedSolve(q Query) (core.Result, error) {
 	// the "quick" fallback just as slow.
 	dq.HeurIters = degradedHeurIters
 	dq.HeurRestarts = 1
-	res, err := core.SolvePrepared(&p.inst, p.cls, p.Request(dq))
+	res, err = core.SolvePrepared(&p.inst, p.cls, p.Request(dq))
 	if err != nil {
 		return core.Result{}, fmt.Errorf("plan: solve budget expired: %w (degraded fallback: %v)", context.DeadlineExceeded, err)
 	}
@@ -307,8 +349,8 @@ func cloneQuery(q Query) Query {
 }
 
 // CloneResult returns an independent deep copy of a successful Result; it
-// is the clone function of every result memo (this package's query memo
-// and the batch engine's result tier). It is the steady-state cost of a
+// is the clone function of every result memo (a standalone plan's private
+// memo and the batch engine's shared result store). It is the steady-state cost of a
 // memo hit, so the copy is packed into three backing allocations (apps,
 // intervals, metric floats) instead of one per slice — nil-ness of every
 // slice is preserved, and full-capacity reslicing keeps the handed-out
@@ -373,7 +415,9 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Queries)
 }
 
-// QueryStats returns a snapshot of the plan's counters.
+// QueryStats returns a snapshot of the plan's counters. Queries, Hits,
+// Entries and Evictions are the memo's: for a plan from CompileIn they
+// cover the whole shared store, every plan in it together.
 func (p *Plan) QueryStats() Stats {
 	m := p.memo.Stats()
 	return Stats{
@@ -459,12 +503,14 @@ func (p *Plan) oneToOneCandidates() []float64 {
 	return fmath.SortedUnique(cands)
 }
 
-// appendQueryKey appends a canonical binary encoding of the query to dst:
+// AppendQueryKey appends a canonical binary encoding of the query to dst:
 // every field is written with an explicit presence/length tag so no two
 // distinct queries share an encoding (floats as IEEE-754 bit patterns, nil
 // slices distinguished from empty ones — "unconstrained" differs from
-// "constrained by an empty array" to the solver's bound checks).
-func appendQueryKey(dst []byte, q Query) []byte {
+// "constrained by an empty array" to the solver's bound checks). The
+// encoding is self-delimiting, so it can follow a canonical prefix
+// (CompileIn) without two distinct (prefix, query) pairs colliding.
+func AppendQueryKey(dst []byte, q Query) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(q.Objective))
 	dst = appendFloats(dst, q.PeriodBounds)
 	dst = appendFloats(dst, q.LatencyBounds)

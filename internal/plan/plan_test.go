@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mapping"
+	"repro/internal/memo"
 	"repro/internal/pipeline"
 )
 
@@ -223,6 +225,43 @@ func TestMemoEviction(t *testing.T) {
 	}
 }
 
+// TestCompileInSharedStore compiles two instances into one store under
+// distinct prefixes: the same queries on each plan answer exactly as a
+// one-shot solve of that plan's own instance, each answer is stored once,
+// and a second pass is served from the store.
+func TestCompileInSharedStore(t *testing.T) {
+	fig1 := pipeline.MotivatingExample()
+	other := pipeline.MotivatingExample()
+	other.Apps[0].Weight = 3
+	store := memo.New(0, CloneResult)
+	var plans []*Plan
+	for i, inst := range []*pipeline.Instance{&fig1, &other} {
+		pl, err := CompileIn(store, fmt.Sprintf("plan-%d|", i), inst, mapping.Interval, pipeline.Overlap)
+		if err != nil {
+			t.Fatalf("CompileIn: %v", err)
+		}
+		plans = append(plans, pl)
+	}
+	queries := fig1Queries(&fig1)
+	for rep := 0; rep < 2; rep++ {
+		for i, pl := range plans {
+			for j, q := range queries {
+				want, werr := core.Solve(pl.Instance(), pl.Request(q))
+				got, gerr, hit := pl.Do(context.Background(), q)
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("rep %d plan %d query %d: got %+v (%v), want %+v (%v)", rep, i, j, got, gerr, want, werr)
+				}
+				if hit != (rep == 1) {
+					t.Errorf("rep %d plan %d query %d: hit = %v", rep, i, j, hit)
+				}
+			}
+		}
+	}
+	if got, want := store.Stats().Entries, len(plans)*len(queries); got != want {
+		t.Errorf("store holds %d results, want %d", got, want)
+	}
+}
+
 // TestPanicConfined asserts a panicking query is published as an error to
 // the caller (and any waiter) instead of unwinding, and poisons only its
 // own memo entry.
@@ -241,9 +280,17 @@ func TestPanicConfined(t *testing.T) {
 	saved := pl.inst.Platform.Processors[0].Speeds
 	pl.inst.Platform.Processors[0].Speeds = nil
 	_, perr := pl.Solve(Query{Objective: core.Period})
+	// The degraded fallback of an expired budget runs outside the memo
+	// and must confine its panic too.
+	expired, cancel := context.WithTimeout(context.Background(), 0)
+	defer cancel()
+	_, derr := pl.SolveCtx(expired, Query{Objective: core.Period, Seed: 2})
 	pl.inst.Platform.Processors[0].Speeds = saved
 	if perr == nil || !strings.Contains(perr.Error(), "panicked") {
 		t.Fatalf("panicking query returned %v, want a published panic error", perr)
+	}
+	if derr == nil || !strings.Contains(derr.Error(), "panicked") {
+		t.Fatalf("panicking degraded query returned %v, want a panic error", derr)
 	}
 	// A different query key still works.
 	if _, err := pl.Solve(Query{Objective: core.Period, Seed: 1}); err != nil {

@@ -19,7 +19,7 @@
 // under a per-request timeout enforced through context cancellation (the
 // batch engine stops picking up jobs once the context is done), request
 // bodies are capped (http.MaxBytesReader, configurable, structured 413 on
-// overflow), the memo cache is bounded (sharded LRU, configurable entry
+// overflow), the memo cache is bounded (LRU, configurable entry
 // cap) so it can be shared across all requests for the life of the
 // process, and a panic in a handler or inside a memoized computation is
 // recovered into an error response without wedging concurrent waiters on
@@ -614,7 +614,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// cacheStatsJSON is the /stats cache block: the result tier plus the
+// cacheStatsJSON is the /stats cache block: the result store (every query
+// of a cached plan: batch jobs, sweep points, re-solves) plus the
 // compiled-plan tier (plans memoized by canonical (instance, rule, comm)
 // key — see internal/plan).
 type cacheStatsJSON struct {
